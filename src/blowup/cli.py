@@ -13,11 +13,8 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import concurrent.futures
 import datetime
 import json
-import math
-import os
 import sys
 import urllib.parse
 from pathlib import Path
@@ -270,7 +267,7 @@ def cmd_integrate(args) -> int:
     csys = to_charts(_as_field(system))
     path = load_path_file(args.path)
     start = _parse_start(args.start)
-    cfg = _config_from(args)
+    cfg = IntegrationConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
     traj = integrate_path(csys, args.chart, start, path, cfg)
     lines = ["s,re_t,im_t,chart,re_c1,im_c1,re_c2,im_c2"]
     for smp in traj.samples:
@@ -292,21 +289,15 @@ def cmd_integrate(args) -> int:
 
 
 def _parse_start(text: str) -> tuple[complex, complex]:
-    bits = [float(v) for v in text.split(",")]
+    try:
+        bits = [float(v) for v in text.split(",")]
+    except ValueError:
+        raise CliValidationError(f"--start {text!r} is not a comma-separated list of reals") from None
     if len(bits) == 2:
         return complex(bits[0], 0.0), complex(bits[1], 0.0)
     if len(bits) == 4:
         return complex(bits[0], bits[1]), complex(bits[2], bits[3])
     raise CliValidationError("--start needs 2 or 4 comma-separated reals")
-
-
-def _config_from(args) -> IntegrationConfig:
-    return IntegrationConfig(
-        rel_tol=getattr(args, "rel_tol", 1e-10),
-        abs_tol=getattr(args, "abs_tol", 1e-12),
-        max_step=getattr(args, "max_step", 0.05),
-        singularity_radius=getattr(args, "singularity_radius", 1e-4),
-    )
 
 
 def _select_equilibrium(system, index: int) -> tuple:
@@ -341,11 +332,7 @@ def _auto_approach(csys, rec, meta, args):
         start = meta["suggested_start"]
     if start is None:
         raise CliValidationError("need --start for file-based systems")
-    cfg = IntegrationConfig(
-        rel_tol=getattr(args, "rel_tol", 1e-12),
-        abs_tol=getattr(args, "abs_tol", 1e-14),
-        singularity_radius=args.ball,
-    )
+    cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, singularity_radius=args.ball)
     approach = approach_blowup(csys, start, rec, horizon=args.horizon, cfg=cfg)
     if approach.terminated_reason != Termination.ENTERED_SINGULARITY_BALL:
         raise DetourError(
@@ -540,12 +527,11 @@ def _time_path(spec: dict) -> TimePath:
     return TimePath.from_points([0.0, end])
 
 
-def sample_portrait(system, spec: dict, jobs: int = 1) -> tuple[list[dict], str]:
+def sample_portrait(system, spec: dict) -> tuple[list[dict], str]:
     """Integrate every grid seed; returns per-seed polylines and an SVG body.
 
-    Results are assembled in seed order regardless of completion order, so
-    the output is deterministic for any jobs count.  Per-seed integrator
-    failures are recorded, not raised.
+    Seeds run one after another and results come back in seed order.
+    Per-seed integrator failures are recorded, not raised.
     """
     sys_charts = to_charts(_as_field(system))
     path = _time_path(spec)
@@ -557,8 +543,7 @@ def sample_portrait(system, spec: dict, jobs: int = 1) -> tuple[list[dict], str]
         max_step=float(spec.get("max_step", 0.05)),
     )
 
-    def run(idx_seed):
-        idx, seed = idx_seed
+    def run(idx, seed):
         try:
             traj = integrate_path(sys_charts, chart, seed, path, cfg)
             pts = [(smp.coords[0], smp.coords[1], smp.chart) for smp in traj.samples]
@@ -566,12 +551,7 @@ def sample_portrait(system, spec: dict, jobs: int = 1) -> tuple[list[dict], str]
         except FlowError as err:
             return {"seed": idx, "status": f"failed: {err}", "points": []}
 
-    if jobs > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, enumerate(seeds)))
-    else:
-        results = [run(pair) for pair in enumerate(seeds)]
-    results.sort(key=lambda r: r["seed"])
+    results = [run(idx, seed) for idx, seed in enumerate(seeds)]
     svg = _portrait_svg(results, spec)
     return results, svg
 
@@ -615,8 +595,7 @@ def _portrait_svg(results: list[dict], spec: dict) -> str:
 def cmd_portrait(args) -> int:
     system, meta = resolve_system(args.system)
     spec = load_portrait_spec(args.portrait)
-    jobs = args.jobs or int(os.environ.get("BLOWUP_JOBS", "1"))
-    results, svg = sample_portrait(system, spec, jobs=jobs)
+    results, svg = sample_portrait(system, spec)
     stem = Path(args.output or "portrait")
     svg_text = svg
     if not args.reproducible:
@@ -644,7 +623,7 @@ def cmd_portrait(args) -> int:
 
 def _emit(args, doc) -> None:
     text = dump_json(doc) + "\n"
-    if getattr(args, "output", None):
+    if args.output:
         Path(args.output).write_text(text)
     else:
         sys.stdout.write(text)
@@ -700,7 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("portrait", help="grid of trajectories as SVG + CSV")
     add_system(p)
     p.add_argument("--portrait", required=True, help="JSON portrait spec")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--reproducible", action="store_true")
     p.set_defaults(func=cmd_portrait)
 

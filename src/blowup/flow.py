@@ -10,6 +10,20 @@ parametrization when relaxing onto a blow-up equilibrium.
 
 The stepper is an embedded Dormand-Prince 5(4) pair with PI step-size
 control, applied to the complex state viewed as four reals.
+
+All three integrators march through ``_march(path, y0, cfg, rhs, on_step)``.
+It walks the path one segment at a time, because corners are derivative
+jumps: segment ``floor(s + 1e-9)`` runs up to its end, and the step
+controller starts afresh at every corner.  Inside a segment both callbacks
+see the global parameter ``s``, the state ``y``, the active segment and its
+local parameter ``sigma``, clamped to [0, 1] because adaptive stages may
+poke a rounding error past the corner, where the path velocity jumps.
+``rhs(s, y, seg, sigma)`` returns dy/ds.  ``on_step(s, y, seg, sigma)`` runs
+after every accepted step and returns ``None`` to go on, a ``Termination``
+to stop there, or a replacement state (a chart switch), from which the march
+restarts the step controller at the same ``s`` towards the same segment end.
+``_march`` returns ``Termination.COMPLETED`` when the path is done, and
+raises ``StepUnderflowError`` when the step collapses.
 """
 
 from __future__ import annotations
@@ -48,6 +62,7 @@ __all__ = [
 _JOIN_TOL = 1e-12
 _CLOSED_TOL = 1e-9
 _DIVERGE_NORM = 1e12
+_SWITCH_THRESHOLD = 2.0  # leave a chart once a coordinate exceeds this
 _UNDERFLOW_FACTOR = 1e-14
 
 
@@ -179,10 +194,6 @@ class TimePath:
         seg, sigma = self.locate(s)
         return seg.point(sigma)
 
-    def velocity(self, s: float) -> complex:
-        seg, sigma = self.locate(s)
-        return seg.velocity(sigma)
-
     @staticmethod
     def from_points(points: Sequence[complex], cycles: int = 1) -> "TimePath":
         segs = tuple(Line(a, b) for a, b in zip(points, points[1:]))
@@ -224,16 +235,6 @@ class Trajectory:
     def end(self) -> TrajectorySample:
         return self.samples[-1]
 
-    def coords_in(self, chart: str) -> list[tuple[complex, complex]]:
-        """All samples mapped into one chart (skipping points off the overlap)."""
-        out = []
-        for smp in self.samples:
-            try:
-                out.append(chart_point(smp.coords, smp.chart, chart))
-            except ZeroDivisionError:
-                continue
-        return out
-
 
 @dataclass(frozen=True)
 class IntegrationConfig:
@@ -241,15 +242,14 @@ class IntegrationConfig:
     abs_tol: float = 1e-12
     max_step: float = 0.05
     singularity_radius: float = 1e-4
-    chart_switch_threshold: float = 2.0
 
     def __post_init__(self):
         for name in ("rel_tol", "abs_tol"):
             v = getattr(self, name)
             if not (0.0 < v <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2]")
-        if self.max_step <= 0 or self.singularity_radius <= 0 or self.chart_switch_threshold <= 0:
-            raise ValueError("max_step, singularity_radius, chart_switch_threshold must be positive")
+        if self.max_step <= 0 or self.singularity_radius <= 0:
+            raise ValueError("max_step and singularity_radius must be positive")
 
 
 # Dormand-Prince RK5(4) tableau.
@@ -286,13 +286,15 @@ def _adaptive_run(
     s1: float,
     y0: np.ndarray,
     cfg: IntegrationConfig,
-    callback: Callable[[float, np.ndarray], bool],
-) -> None:
+    callback: Callable[[float, np.ndarray], Termination | np.ndarray | None],
+) -> tuple[Termination | np.ndarray | None, float, np.ndarray]:
     """March f from s0 to s1 with PI-controlled DP45 steps.
 
-    ``callback(s, y)`` is invoked after every accepted step and may return
-    True to stop early (it is responsible for recording state).  Raises
-    StepUnderflowError when the step collapses below 1e-14 of the span.
+    ``callback(s, y)`` is invoked after every accepted step (it is
+    responsible for recording state); any value but ``None`` stops the run.
+    Returns that value, or ``None`` once s1 is reached, with the last
+    accepted (s, y).  Raises StepUnderflowError when the step collapses
+    below 1e-14 of the span.
     """
     span = s1 - s0
     s, y = s0, y0.copy()
@@ -318,8 +320,9 @@ def _adaptive_run(
         if err <= 1.0 or at_floor or h < 4 * _UNDERFLOW_FACTOR * span:
             s = s1 if (s1 - s) <= h * (1.0 + 1e-9) else s + h
             y = y_new
-            if callback(s, y):
-                return
+            verdict = callback(s, y)
+            if verdict is not None:
+                return verdict, s, y
             if at_floor:
                 h *= 5.0
             else:
@@ -329,14 +332,44 @@ def _adaptive_run(
             prev_err = max(err, 1e-10)
         else:
             h *= max(0.1, safety * err ** (-1.0 / order))
+    return None, s, y
 
 
-def _best_chart(coords: tuple[complex, complex], chart: str, threshold: float) -> tuple[str, tuple[complex, complex]]:
-    """Chart in which the max coordinate magnitude is smallest, if reachable."""
+def _march(
+    path: TimePath,
+    y0: np.ndarray,
+    cfg: IntegrationConfig,
+    rhs: Callable[[float, np.ndarray, Segment, float], np.ndarray],
+    on_step: Callable[[float, np.ndarray, Segment, float], Termination | np.ndarray | None],
+) -> Termination:
+    """Integrate ``rhs`` along ``path`` segment by segment (contract in the module docstring)."""
+    total = path.s_length
+    s_now, state = 0.0, y0
+    while s_now < total - 1e-12:
+        idx = min(int(math.floor(s_now + 1e-9)), int(total) - 1)
+        seg_end = min(idx + 1.0, total)
+        seg = path.segment_at(idx)
+
+        def f(s: float, y: np.ndarray) -> np.ndarray:
+            return rhs(s, y, seg, min(max(s - idx, 0.0), 1.0))
+
+        def callback(s: float, y: np.ndarray) -> Termination | np.ndarray | None:
+            return on_step(s, y, seg, min(max(s - idx, 0.0), 1.0))
+
+        verdict, s_stop, state = _adaptive_run(f, s_now, seg_end, state, cfg, callback)
+        if isinstance(verdict, Termination):
+            return verdict
+        if verdict is None:
+            s_now = seg_end  # corner reached; move on to the next segment
+        else:
+            s_now, state = s_stop, verdict
+    return Termination.COMPLETED
+
+
+def _best_chart(coords: tuple[complex, complex], chart: str) -> tuple[str, tuple[complex, complex]]:
+    """Chart in which the max coordinate magnitude is smallest."""
     best, best_coords = chart, coords
     best_mag = max(abs(coords[0]), abs(coords[1]))
-    if best_mag <= threshold:
-        return best, best_coords
     for cand in Chart.ALL:
         if cand == chart:
             continue
@@ -370,80 +403,43 @@ def integrate_path(
     chart = start_chart
     state = (complex(start_coords[0]), complex(start_coords[1]))
     samples = [TrajectorySample(0.0, path.point(0.0), chart, state)]
-    reason = Termination.COMPLETED
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        # clamp to the active segment: adaptive stages may poke a rounding
-        # error past the corner, where the path velocity jumps
-        tdot = seg.velocity(min(max(s - seg_idx, 0.0), 1.0))
+    def rhs(s: float, y: np.ndarray, seg: Segment, sigma: float) -> np.ndarray:
+        tdot = seg.velocity(sigma)
         a, b = y[0], y[1]
-        da, db = system.field(rhs_chart)(a, b)
-        rho = system.euler_multiplier(rhs_chart, (a, b))
+        da, db = system.field(chart)(a, b)
+        rho = system.euler_multiplier(chart, (a, b))
         return np.array([da * tdot / rho, db * tdot / rho])
 
-    s_now = 0.0
-    while s_now < path.s_length - 1e-12:
-        # integrate segment by segment: corners are derivative jumps
-        seg_idx = min(int(math.floor(s_now + 1e-9)), int(path.s_length) - 1)
-        seg_end = min(seg_idx + 1.0, path.s_length)
-        seg = path.segment_at(seg_idx)
-        rhs_chart = chart
-        stop_flag = {}
+    def on_step(s: float, y: np.ndarray, seg: Segment, sigma: float) -> Termination | np.ndarray | None:
+        nonlocal chart
+        coords = (complex(y[0]), complex(y[1]))
+        t = seg.point(sigma)
+        samples.append(TrajectorySample(s, t, chart, coords))
+        if designated_equilibrium is not None:
+            eq_chart, eq_pt = designated_equilibrium
+            try:
+                here = chart_point(coords, chart, eq_chart)
+                if math.hypot(abs(here[0] - eq_pt[0]), abs(here[1] - eq_pt[1])) < cfg.singularity_radius:
+                    return Termination.ENTERED_SINGULARITY_BALL
+            except ZeroDivisionError:
+                pass
+        mag = max(abs(coords[0]), abs(coords[1]))
+        if mag > _SWITCH_THRESHOLD:
+            new_chart, new_coords = _best_chart(coords, chart)
+            if new_chart != chart:
+                chart = new_chart
+                samples.append(TrajectorySample(s, t, chart, new_coords))
+                return np.array(new_coords, dtype=complex)
+        if mag > _DIVERGE_NORM:
+            # a chart holding the state below this bound would have won above
+            return Termination.DIVERGED
+        return None
 
-        def on_step(s: float, y: np.ndarray) -> bool:
-            nonlocal samples
-            coords = (complex(y[0]), complex(y[1]))
-            samples.append(
-                TrajectorySample(s, seg.point(min(max(s - seg_idx, 0.0), 1.0)), rhs_chart, coords)
-            )
-            if designated_equilibrium is not None:
-                eq_chart, eq_pt = designated_equilibrium
-                try:
-                    here = chart_point(coords, rhs_chart, eq_chart)
-                    dist = math.hypot(abs(here[0] - eq_pt[0]), abs(here[1] - eq_pt[1]))
-                    if dist < cfg.singularity_radius:
-                        stop_flag["why"] = Termination.ENTERED_SINGULARITY_BALL
-                        return True
-                except ZeroDivisionError:
-                    pass
-            mag = max(abs(coords[0]), abs(coords[1]))
-            if mag > cfg.chart_switch_threshold:
-                new_chart, _ = _best_chart(coords, rhs_chart, cfg.chart_switch_threshold)
-                if new_chart != rhs_chart:
-                    stop_flag["why"] = "switch"
-                    return True
-            if mag > _DIVERGE_NORM:
-                for cand in Chart.ALL:
-                    if cand == rhs_chart:
-                        continue
-                    try:
-                        mapped = chart_point(coords, rhs_chart, cand)
-                        if max(abs(mapped[0]), abs(mapped[1])) < _DIVERGE_NORM:
-                            return False
-                    except ZeroDivisionError:
-                        continue
-                stop_flag["why"] = Termination.DIVERGED
-                return True
-            return False
-
-        y0 = np.array([state[0], state[1]], dtype=complex)
-        try:
-            _adaptive_run(rhs, s_now, seg_end, y0, cfg, on_step)
-        except StepUnderflowError:
-            reason = Termination.STEP_UNDERFLOW
-            break
-        last = samples[-1]
-        s_now, state = last.s, last.coords
-        why = stop_flag.get("why")
-        if why == "switch":
-            new_chart, new_coords = _best_chart(state, chart, cfg.chart_switch_threshold)
-            chart, state = new_chart, new_coords
-            samples.append(TrajectorySample(s_now, samples[-1].t, chart, state))
-        elif why is not None:
-            reason = why
-            break
-        else:
-            s_now = seg_end  # corner reached; move on to the next segment
+    try:
+        reason = _march(path, np.array(state, dtype=complex), cfg, rhs, on_step)
+    except StepUnderflowError:
+        reason = Termination.STEP_UNDERFLOW
     return Trajectory(tuple(samples), reason)
 
 
@@ -466,29 +462,19 @@ def integrate_chart_time(
     fld = system.field(chart)
     samples = [TrajectorySample(0.0, complex(t_start), chart, (complex(start_coords[0]), complex(start_coords[1])))]
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        tau_dot = seg.velocity(min(max(s - seg_idx, 0.0), 1.0))
+    def rhs(s: float, y: np.ndarray, seg: Segment, sigma: float) -> np.ndarray:
+        tau_dot = seg.velocity(sigma)
         a, b = y[0], y[1]
         da, db = fld(a, b)
         rho = system.euler_multiplier(chart, (a, b))
         return np.array([da * tau_dot, db * tau_dot, rho * tau_dot])
 
-    def on_step(s: float, y: np.ndarray) -> bool:
+    def on_step(s: float, y: np.ndarray, seg: Segment, sigma: float) -> None:
         samples.append(TrajectorySample(s, complex(y[2]), chart, (complex(y[0]), complex(y[1]))))
-        return False
 
-    reason = Termination.COMPLETED
     state = np.array([start_coords[0], start_coords[1], t_start], dtype=complex)
-    s_now = 0.0
     try:
-        while s_now < path.s_length - 1e-12:
-            seg_idx = min(int(math.floor(s_now + 1e-9)), int(path.s_length) - 1)
-            seg_end = min(seg_idx + 1.0, path.s_length)
-            seg = path.segment_at(seg_idx)
-            _adaptive_run(rhs, s_now, seg_end, state, cfg, on_step)
-            last = samples[-1]
-            state = np.array([last.coords[0], last.coords[1], last.t], dtype=complex)
-            s_now = seg_end
+        reason = _march(path, state, cfg, rhs, on_step)
     except StepUnderflowError:
         reason = Termination.STEP_UNDERFLOW
     return Trajectory(tuple(samples), reason)
@@ -545,26 +531,14 @@ def continue_leaf(
     fld = system.field(chart)
     trace = [(0.0, complex(fiber_start))]
 
-    def rhs(s: float, y: np.ndarray) -> np.ndarray:
-        sigma = min(max(s - seg_idx, 0.0), 1.0)
-        base = seg.point(sigma)
-        base_vel = seg.velocity(sigma)
-        d_fiber, d_base = fld(y[0], base)
+    def rhs(s: float, y: np.ndarray, seg: Segment, sigma: float) -> np.ndarray:
+        d_fiber, d_base = fld(y[0], seg.point(sigma))
         if abs(d_base) < 1e-10 * max(abs(d_fiber), 1e-300):
             raise SectionTangencyError(f"base field vanished at s={s:.6g}")
-        return np.array([d_fiber / d_base * base_vel])
+        return np.array([d_fiber / d_base * seg.velocity(sigma)])
 
-    def on_step(s: float, y: np.ndarray) -> bool:
+    def on_step(s: float, y: np.ndarray, seg: Segment, sigma: float) -> None:
         trace.append((s, complex(y[0])))
-        return False
 
-    s_now = 0.0
-    state = np.array([fiber_start], dtype=complex)
-    while s_now < base_loop.s_length - 1e-12:
-        seg_idx = min(int(math.floor(s_now + 1e-9)), int(base_loop.s_length) - 1)
-        seg_end = min(seg_idx + 1.0, base_loop.s_length)
-        seg = base_loop.segment_at(seg_idx)
-        _adaptive_run(rhs, s_now, seg_end, state, cfg, on_step)
-        state = np.array([trace[-1][1]], dtype=complex)
-        s_now = seg_end
+    _march(base_loop, np.array([fiber_start], dtype=complex), cfg, rhs, on_step)
     return {"fiber_end": trace[-1][1], "fiber_trace": tuple(trace)}

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,6 +51,7 @@ __all__ = [
     "LoopHitsSingularityError",
     "NoInvariantFiberError",
     "NotClosedReportError",
+    "WindingLawError",
     "holonomy_multiplier",
     "masuda_detour",
     "blowup_star",
@@ -72,6 +73,10 @@ class NoInvariantFiberError(DetourError):
 
 class NotClosedReportError(DetourError):
     """A closed detour report was required but the loop did not close."""
+
+
+class WindingLawError(DetourError):
+    """A closed loop broke w_t = (m-1) w_u at a semisimple equilibrium."""
 
 
 @dataclass(frozen=True)
@@ -182,13 +187,7 @@ def masuda_detour(
 
     base_cfg = cfg or IntegrationConfig()
     expected_u = abs(loop_radius / C_fit) ** (1.0 / m1)
-    guard = IntegrationConfig(
-        rel_tol=base_cfg.rel_tol,
-        abs_tol=base_cfg.abs_tol,
-        max_step=min(base_cfg.max_step, 0.02),
-        singularity_radius=0.05 * expected_u,
-        chart_switch_threshold=base_cfg.chart_switch_threshold,
-    )
+    guard = replace(base_cfg, max_step=min(base_cfg.max_step, 0.02), singularity_radius=0.05 * expected_u)
 
     # transport leg: radially from t_enter to the circle.
     leg = TimePath((Line(t_enter, circle_entry),))
@@ -237,7 +236,7 @@ def masuda_detour(
             raise DetourError(f"closed loop but winding extraction failed for {missing}")
         if blowup_eq.semisimple and blowup_eq.domain not in (None, "Degenerate"):
             if windings["w_t"] != system.euler_exponent * windings["w_u"]:
-                raise AssertionError(
+                raise WindingLawError(
                     f"winding law violated: w_t={windings['w_t']}, "
                     f"(m-1)*w_u={system.euler_exponent * windings['w_u']}"
                 )

@@ -11,6 +11,7 @@ from blowup.flow import (
     Line,
     NotClosedError,
     PathDiscontinuityError,
+    SectionTangencyError,
     Termination,
     TimePath,
     TooCoarseError,
@@ -269,3 +270,24 @@ def test_contractible_base_loop_returns_fiber():
     loop = TimePath.circle(0.5, 0.1)  # z = 0 outside
     res = continue_leaf(sys, Chart.UZ, loop, 0.03, TIGHT)
     assert abs(res["fiber_end"] - 0.03) < 1e-9
+
+
+# ------------------------------------------------------- march terminations
+
+def test_branch_point_on_the_path_underflows_in_the_blowup_chart():
+    # x' = x^3 from x0 = 1: x(t) = (1 - 2t)^(-1/2).  At t = 1/2 this is a
+    # branch point, not a pole: even in UZ, u = (1 - 2t)^(1/2) has unbounded
+    # slope there, so the step collapses.
+    sys = to_charts(PlanarField(P([(3, 0, 1.0)]), P([(0, 1, -1.0)])))
+    traj = integrate_path(sys, Chart.XY, (1.0, 0.0), TimePath.from_points([0.0, 1.0]), TIGHT)
+    assert traj.terminated_reason == Termination.STEP_UNDERFLOW
+    assert traj.end.chart == Chart.UZ
+    assert abs(traj.end.t - 0.5) < 1e-9
+
+
+def test_leaf_continuation_through_a_base_zero_raises_tangency():
+    # x' = x, y' = -y: the UZ base field vanishes at z = 0, where the base
+    # segment starts, so the leaf cannot be written over the base there.
+    sys = to_charts(PlanarField(P([(1, 0, 1.0)]), P([(0, 1, -1.0)])))
+    with pytest.raises(SectionTangencyError):
+        continue_leaf(sys, Chart.UZ, TimePath.from_points([0.0, 0.1]), 0.01, TIGHT)
