@@ -5,8 +5,14 @@ System arguments accept either a JSON file path or a ``catalog:`` URI such
 as ``catalog:galerkin_symmetric?a=2``.  All reports are emitted as JSON with
 every float printed to 17 significant digits, so identical invocations are
 byte-identical; SVG output carries a timestamp comment unless
-``--reproducible`` is passed.  Exit codes: 0 success, 2 validation error,
-3 numerical failure.  Errors go to stderr as single-line JSON.
+``--reproducible`` is passed.  Library values are written as they are:
+complex numbers as [re, im], tuples as lists, fractions as [num, den].
+
+Exit codes: 0 success, 2 validation error, 3 numerical failure, decided by
+one rule on the exception type: ``RuntimeError``, ``ArithmeticError`` and
+``numpy.linalg.LinAlgError`` are numerical failures, every other
+``ValueError`` or ``LookupError`` is bad input.  Errors go to stderr as
+single-line JSON.
 """
 
 from __future__ import annotations
@@ -17,11 +23,14 @@ import datetime
 import json
 import sys
 import urllib.parse
+from dataclasses import asdict
+from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.equilibria import (
-    EquilibriumRecord,
     classify_spectrum,
     find_equilibria,
     small_divisor_scan,
@@ -43,7 +52,7 @@ from blowup.holonomy import (
     holonomy_multiplier,
     masuda_detour,
 )
-from blowup.normalform import NormalFormError, conjugacy_residual, poincare_linearize
+from blowup.normalform import conjugacy_residual, poincare_linearize
 from blowup.scenarios import catalog_get, catalog_names, tree_count
 
 __all__ = ["main", "run_command", "parse_system_file", "sample_portrait"]
@@ -73,9 +82,8 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def dump_json(value, indent: int = 0) -> str:
+def dump_json(value) -> str:
     """Deterministic JSON with floats at 17 significant digits."""
-    pad = " " * indent
     if value is None:
         return "null"
     if value is True or value is False:
@@ -93,11 +101,11 @@ def dump_json(value, indent: int = 0) -> str:
         return "{" + ", ".join(items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(dump_json(v) for v in value) + "]"
+    if isinstance(value, Fraction):
+        return f"[{value.numerator}, {value.denominator}]"
+    if callable(value):
+        return '"<function>"'
     raise TypeError(f"cannot serialize {type(value)!r}")
-
-
-def _complex_pair(val: complex) -> list[float]:
-    return [float(val.real), float(val.imag)]
 
 
 # ---------------------------------------------------------------- system I/O
@@ -162,22 +170,23 @@ def resolve_system(spec: str) -> tuple[PlanarField | PolynomialHamiltonian, dict
     if spec.startswith("catalog:"):
         rest = spec[len("catalog:"):]
         name, _, query = rest.partition("?")
-        params = {}
-        for key, vals in urllib.parse.parse_qs(query).items():
-            try:
-                params[key] = float(vals[-1]) if "." in vals[-1] or "e" in vals[-1].lower() else int(vals[-1])
-            except ValueError:
-                raise CliValidationError(f"parameter {key}={vals[-1]!r} is not numeric")
-        try:
-            entry = catalog_get(name, params)
-        except KeyError as err:
-            raise CliValidationError(str(err)) from None
-        except ValueError as err:
-            raise CliValidationError(str(err)) from None
+        params = _parse_params(urllib.parse.parse_qsl(query))
+        entry = catalog_get(name, params)
         meta = {"source": "catalog", "name": name, "parameters": params,
                 "suggested_start": entry.suggested_start}
         return entry.system, meta
     return parse_system_file(spec), {"source": "file", "path": spec}
+
+
+def _parse_params(pairs) -> dict:
+    """Numeric catalog parameters from (key, text) pairs; the last of a key wins."""
+    params = {}
+    for key, val in pairs:
+        try:
+            params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
+        except ValueError:
+            raise CliValidationError(f"parameter {key}={val!r} is not numeric") from None
+    return params
 
 
 def _as_field(system) -> PlanarField:
@@ -216,24 +225,6 @@ def _pair(val, what: str) -> complex:
 
 # ------------------------------------------------------------------ reports
 
-def record_json(rec: EquilibriumRecord) -> dict:
-    out = {
-        "chart": rec.chart,
-        "location": [_complex_pair(rec.location[0]), _complex_pair(rec.location[1])],
-    }
-    if rec.eigenvalues is not None:
-        out["eigenvalues"] = [_complex_pair(rec.eigenvalues[0]), _complex_pair(rec.eigenvalues[1])]
-        out["spectral_quotient"] = (
-            _complex_pair(rec.spectral_quotient) if rec.spectral_quotient is not None else None
-        )
-        out["semisimple"] = rec.semisimple
-        out["domain"] = rec.domain
-        out["resonance"] = {"kind": rec.resonance.kind, "order": rec.resonance.order}
-        out["rational_quotient"] = list(rec.rational_quotient) if rec.rational_quotient else None
-        out["notes"] = list(rec.notes)
-    return out
-
-
 def classified_equilibria(system) -> tuple:
     fld = _as_field(system)
     csys = to_charts(fld)
@@ -247,7 +238,7 @@ def classified_equilibria(system) -> tuple:
 def cmd_classify(args) -> int:
     system, meta = resolve_system(args.system)
     _, recs = classified_equilibria(system)
-    rows = [record_json(r) for r in recs]
+    rows = [asdict(r) for r in recs]
     if args.small_divisors:
         for rec, row in zip(recs, rows):
             if rec.eigenvalues is not None and rec.domain != "Degenerate":
@@ -288,11 +279,15 @@ def cmd_integrate(args) -> int:
     return 0
 
 
-def _parse_start(text: str) -> tuple[complex, complex]:
+def _reals(text: str, flag: str) -> list[float]:
     try:
-        bits = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
-        raise CliValidationError(f"--start {text!r} is not a comma-separated list of reals") from None
+        raise CliValidationError(f"{flag} {text!r} is not a comma-separated list of reals") from None
+
+
+def _parse_start(text: str) -> tuple[complex, complex]:
+    bits = _reals(text, "--start")
     if len(bits) == 2:
         return complex(bits[0], 0.0), complex(bits[1], 0.0)
     if len(bits) == 4:
@@ -311,16 +306,7 @@ def cmd_holonomy(args) -> int:
     system, meta = resolve_system(args.system)
     csys, rec = _select_equilibrium(system, args.eq)
     est = holonomy_multiplier(csys, rec, base_radius=args.radius)
-    doc = {
-        "system": meta_public(meta),
-        "equilibrium": record_json(rec),
-        "multiplier": _complex_pair(est.multiplier),
-        "fiber_radii": list(est.fiber_radii),
-        "richardson_order": est.richardson_order,
-        "predicted": _complex_pair(est.predicted) if est.predicted is not None else None,
-        "deviation": est.deviation,
-    }
-    _emit(args, doc)
+    _emit(args, {"system": meta_public(meta), "equilibrium": asdict(rec), **asdict(est)})
     return 0
 
 
@@ -346,36 +332,28 @@ def cmd_detour(args) -> int:
     system, meta = resolve_system(args.system)
     csys, rec = _select_equilibrium(system, args.eq)
     approach = _auto_approach(csys, rec, meta, args)
-    radius = args.radius
-    if radius is None:
-        from blowup.holonomy import _fit_blowup_time
-        T, _ = _fit_blowup_time(csys, approach, rec)
-        radius = 0.5 * abs(approach.end.t - T)
-    report = masuda_detour(csys, rec, approach, loop_radius=radius, cycles=args.cycles,
+    report = masuda_detour(csys, rec, approach, loop_radius=args.radius, cycles=args.cycles,
                            cfg=IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, max_step=0.02))
     doc = {
         "system": meta_public(meta),
-        "equilibrium": record_json(rec),
+        "equilibrium": asdict(rec),
         "cycles": report.cycles,
-        "loop_radius": radius,
-        "start_state": [_complex_pair(report.start_state[0]), _complex_pair(report.start_state[1])],
-        "end_state": [_complex_pair(report.end_state[0]), _complex_pair(report.end_state[1])],
+        "loop_radius": report.t_loop.segments[0].radius,
+        "start_state": report.start_state,
+        "end_state": report.end_state,
         "discrepancy": report.discrepancy,
         "relative_discrepancy": report.discrepancy / report.fiber_start_magnitude,
         "windings": report.windings,
         "closed": report.closed,
         "chart": report.chart,
-        "T_estimate": _complex_pair(report.T_estimate),
-        "t_fit_coefficient": _complex_pair(report.t_fit_coefficient),
-        "a_u": _complex_pair(report.a_u),
+        "T_estimate": report.T_estimate,
+        "t_fit_coefficient": report.t_fit_coefficient,
+        "a_u": report.a_u,
         "closure_threshold": report.closure_threshold,
-        "per_cycle_discrepancy": list(report.per_cycle_discrepancy),
+        "per_cycle_discrepancy": report.per_cycle_discrepancy,
     }
     if report.closed and args.star:
-        doc["star"] = [
-            {"direction": _complex_pair(b["direction"]), "kind": b["kind"]}
-            for b in blowup_star(csys, rec, report)
-        ]
+        doc["star"] = blowup_star(csys, rec, report)
     _emit(args, doc)
     return 0
 
@@ -387,18 +365,14 @@ def cmd_linearize(args) -> int:
     res = conjugacy_residual(csys, rec, tr, ball_radius=args.ball_radius)
     doc = {
         "system": meta_public(meta),
-        "equilibrium": record_json(rec),
+        "equilibrium": asdict(rec),
         "order_N": tr.order_N,
-        "eigenvalues": [_complex_pair(tr.eigenvalues[0]), _complex_pair(tr.eigenvalues[1])],
+        "eigenvalues": tr.eigenvalues,
         "forward": [_poly_rows(tr.components[0]), _poly_rows(tr.components[1])],
         "inverse": [_poly_rows(tr.inverse_components[0]), _poly_rows(tr.inverse_components[1])],
         "min_divisor": tr.min_divisor,
         "max_coefficient": tr.max_coefficient,
-        "residual": {
-            "radii": list(res["radii"]),
-            "max_residuals": list(res["max_residuals"]),
-            "fitted_order": res["fitted_order"],
-        },
+        "residual": {key: res[key] for key in ("radii", "max_residuals", "fitted_order")},
     }
     _emit(args, doc)
     return 0
@@ -409,7 +383,7 @@ def _poly_rows(p: BivariatePolynomial) -> list:
 
 
 def cmd_pendulum(args) -> int:
-    coeffs = [float(v) for v in args.g.split(",")]
+    coeffs = _reals(args.g, "--g")
     rep = pendulum_loop_windings(coeffs, loop_radius=args.radius)
     doc = {
         "force_coefficients": coeffs,
@@ -441,43 +415,21 @@ def cmd_catalog(args) -> int:
         return 0
     if not args.name:
         raise CliValidationError("catalog show needs a name")
-    params = {}
-    for kv in (args.params.split(",") if args.params else []):
-        if not kv:
-            continue
-        key, _, val = kv.partition("=")
-        params[key] = float(val) if ("." in val or "e" in val.lower()) else int(val)
-    try:
-        entry = catalog_get(args.name, params)
-    except (KeyError, ValueError) as err:
-        raise CliValidationError(str(err)) from None
+    params = _parse_params(kv.partition("=")[::2] for kv in args.params.split(",") if kv)
+    entry = catalog_get(args.name, params)
     if isinstance(entry.system, PolynomialHamiltonian):
-        system = {"H": _poly_rows(entry.system.H), "level": _complex_pair(entry.system.level_c)}
+        system = {"H": _poly_rows(entry.system.H), "level": entry.system.level_c}
     else:
         system = {"f": _poly_rows(entry.system.f), "g": _poly_rows(entry.system.g)}
     doc = {
         "name": entry.name,
         "parameters": entry.parameters,
         "system": system,
-        "expected": _jsonable(entry.expected),
+        "expected": entry.expected,
         "citation": entry.citation,
     }
     _emit(args, doc)
     return 0
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, complex):
-        return _complex_pair(value)
-    if callable(value):
-        return "<function>"
-    if hasattr(value, "numerator") and hasattr(value, "denominator") and not isinstance(value, int):
-        return [int(value.numerator), int(value.denominator)]
-    return value
 
 
 # ----------------------------------------------------------------- portraits
@@ -713,12 +665,12 @@ def run_command(argv: list[str]) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except CliValidationError as err:
-        print(dump_json({"error": "validation", "message": str(err)}), file=sys.stderr)
-        return 2
-    except (FlowError, DetourError, NormalFormError, ArithmeticError, ValueError, KeyError) as err:
+    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as err:
         print(dump_json({"error": "numerical", "message": str(err)}), file=sys.stderr)
         return 3
+    except (ValueError, LookupError) as err:
+        print(dump_json({"error": "validation", "message": str(err)}), file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -88,23 +88,7 @@ def _poly_roots(coeffs_low_to_high: list[complex]) -> list[complex]:
         arr = arr[:-1]
     if arr.size <= 1:
         return []
-    return list(np.roots(arr[::-1]))
-
-
-def _univariate(p: BivariatePolynomial, var: str) -> list[complex]:
-    """Coefficient list (low to high) of a polynomial that depends on one variable."""
-    deg = p.degree
-    coeffs = [0.0 + 0.0j] * (deg + 1)
-    for (j, k), c in p.terms.items():
-        if var == "x":
-            if k != 0:
-                raise ValueError("polynomial is not univariate in x")
-            coeffs[j] += c
-        else:
-            if j != 0:
-                raise ValueError("polynomial is not univariate in y")
-            coeffs[k] += c
-    return coeffs
+    return [complex(r) for r in np.roots(arr[::-1])]
 
 
 def _restrict_first_zero(p: BivariatePolynomial) -> list[complex]:

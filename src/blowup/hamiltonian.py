@@ -48,7 +48,7 @@ class DegenerateLeadingTermError(ValueError):
 @dataclass(frozen=True)
 class PolynomialHamiltonian:
     H: BivariatePolynomial
-    level_c: complex = 0.0
+    level_c: complex = 0j
 
     def __post_init__(self):
         if self.H.degree < 2:

@@ -153,7 +153,7 @@ def masuda_detour(
     system: ChartSystem,
     blowup_eq: EquilibriumRecord,
     approach: Trajectory,
-    loop_radius: float,
+    loop_radius: float | None,
     cycles: int,
     closure_threshold: float | None = None,
     cfg: IntegrationConfig | None = None,
@@ -165,6 +165,8 @@ def masuda_detour(
     the state-space distance between the lifted states before and after the
     ``cycles`` traversals, reported both absolutely and against the relative
     closure threshold (default 1e-6 of the fiber magnitude at loop entry).
+    ``loop_radius=None`` takes half the distance |t_enter - T| from the
+    approach endpoint to the estimated blow-up time.
     """
     if approach.terminated_reason != Termination.ENTERED_SINGULARITY_BALL:
         raise DetourError(
@@ -175,6 +177,8 @@ def masuda_detour(
     T_est, C_fit = _fit_blowup_time(system, approach, blowup_eq, fit_samples=20)
     t_enter = approach.end.t
     gap = abs(t_enter - T_est)
+    if loop_radius is None:
+        loop_radius = 0.5 * gap
     if loop_radius >= gap:
         raise DetourError(f"loop radius {loop_radius:.3g} reaches past the approach endpoint (|t-T| = {gap:.3g})")
 

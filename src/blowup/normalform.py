@@ -5,7 +5,7 @@ degree n, every monomial coefficient c of the nonlinear residue in component
 iota is cancelled by the compensating coefficient -c / (lambda_iota -
 alpha . lambda) of the same monomial in Psi, after which the field is pulled
 back exactly through the enlarged transform and the next degree is attacked.  Small denominators are
-refused outright: any scanned divisor below 1e-8 * max|lambda| raises, with
+refused outright: any scanned divisor at or below 1e-8 * max|lambda| raises, with
 the offending multi-index attached, instead of polluting the transform with
 huge coefficients.
 
@@ -191,8 +191,9 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
     Eliminates nonlinear terms degree by degree; each removed monomial
     contributes its coefficient divided by lambda_iota - alpha . lambda to
     the transform.  Raises ``ResonantAtOrderError`` the moment a divisor
-    drops below 1e-8 * max|lambda| (exact resonances and near-resonances are
-    treated alike: a transform with exploding coefficients is worthless).
+    drops to 1e-8 * max|lambda| or below, which includes every divisor of a
+    zero spectrum (exact resonances and near-resonances are treated alike: a
+    transform with exploding coefficients is worthless).
     """
     if eq.eigenvalues is None:
         raise ValueError("classify the equilibrium first")
@@ -210,7 +211,7 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
             a2 = n - a1
             combo = a1 * l1 + a2 * l2
             for iota, li in ((1, l1), (2, l2)):
-                if abs(li - combo) < guard:
+                if abs(li - combo) <= guard:
                     raise ResonantAtOrderError(n, (a1, a2), iota, abs(li - combo))
 
     ident = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))

@@ -1,7 +1,15 @@
 import json
+from pathlib import Path
+
+import pytest
+from jsonschema import Draft202012Validator
+from referencing import Registry, Resource
 
 import blowup.holonomy
 from blowup.cli import run_command
+from blowup.scenarios import catalog_names
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
 
 
 def _error_line(capsys) -> dict:
@@ -10,9 +18,18 @@ def _error_line(capsys) -> dict:
     return json.loads(lines[0])
 
 
-def test_malformed_start_is_a_validation_error(capsys):
-    code = run_command(["detour", "catalog:golden_node", "--eq", "0", "--cycles", "1", "--start", "abc"])
-    assert code == 2
+@pytest.mark.parametrize("argv", [
+    pytest.param(["detour", "catalog:golden_node", "--eq", "0", "--cycles", "1", "--start", "abc"],
+                 id="malformed-start"),
+    pytest.param(["pendulum", "--g", "abc"], id="malformed-g"),
+    pytest.param(["catalog", "show", "riccati", "--params", "a=abc"], id="malformed-params"),
+    pytest.param(["trees", "--max-m", "31"], id="trees-out-of-range"),
+    pytest.param(["linearize", "catalog:galerkin_symmetric", "--eq", "0", "--order", "20"], id="order-too-high"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
+    pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
+])
+def test_bad_input_is_a_validation_error(argv, capsys):
+    assert run_command(argv) == 2
     assert _error_line(capsys)["error"] == "validation"
 
 
@@ -39,3 +56,34 @@ def test_portrait_has_no_jobs_option(tmp_path):
             "--reproducible"]
     assert run_command(argv) == 0
     assert run_command(argv + ["--jobs", "2"]) == 2
+
+
+def _validators() -> dict:
+    docs = {p.name.removesuffix(".schema.json"): json.loads(p.read_text())
+            for p in SCHEMAS.glob("*.schema.json")}
+    registry = Registry().with_resources(
+        (doc["$id"], Resource.from_contents(doc)) for doc in docs.values())
+    return {name: Draft202012Validator(doc, registry=registry) for name, doc in docs.items()}
+
+
+def _refuse(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+REPORTS = [
+    ("classification_report", ["classify", "catalog:golden_node", "--small-divisors"]),
+    ("holonomy_estimate", ["holonomy", "catalog:golden_node", "--eq", "0"]),
+    ("detour_report", ["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--star"]),
+    ("transform_dump", ["linearize", "catalog:galerkin_symmetric", "--eq", "3", "--order", "6"]),
+    ("pendulum_report", ["pendulum", "--g=-6,0,6"]),
+    ("trees_report", ["trees", "--max-m", "12", "--json"]),
+] + [("catalog_entry", ["catalog", "show", name]) for name in catalog_names()]
+
+
+def test_every_report_is_strict_json_and_matches_its_schema(capsys):
+    validators = _validators()
+    for schema, argv in REPORTS:
+        assert run_command(argv) == 0, argv
+        doc = json.loads(capsys.readouterr().out, parse_constant=_refuse)
+        errors = [e.message for e in validators[schema].iter_errors(doc)]
+        assert not errors, (argv, errors)

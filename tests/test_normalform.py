@@ -11,6 +11,7 @@ from blowup.normalform import (
     conjugacy_residual,
     poincare_linearize,
 )
+from blowup.scenarios import catalog_get
 
 P = BivariatePolynomial.from_coeffs
 
@@ -176,3 +177,13 @@ def test_straightened_detour_recovers_algebraic_leaf():
     inv0 = s0[0] ** 2 / s0[1] ** 3
     inv1 = s1[0] ** 2 / s1[1] ** 3
     assert abs(inv0 - inv1) < 1e-8 * abs(inv0)
+
+
+def test_zero_spectrum_is_resonant_at_order_two():
+    # golden_node's VW equilibrium has J = 0, so every divisor vanishes
+    sys = to_charts(catalog_get("golden_node").system)
+    eq = classified(sys, Chart.VW, 0.0)
+    assert eq.eigenvalues == (0j, 0j)
+    with pytest.raises(ResonantAtOrderError) as err:
+        poincare_linearize(sys, eq, order_N=4)
+    assert err.value.order == 2
