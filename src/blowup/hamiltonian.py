@@ -40,6 +40,9 @@ __all__ = [
     "pendulum_loop_windings",
 ]
 
+_SAMPLES_PER_TURN = 720
+_MAX_HALVINGS = 6
+
 
 class DegenerateLeadingTermError(ValueError):
     """The leading potential coefficient vanishes; no blow-up leaf to trace."""
@@ -113,8 +116,6 @@ def _energy_relation(G_low_to_high: list[complex], m: int) -> BivariatePolynomia
 def pendulum_loop_windings(
     g_coeffs: list[complex],
     loop_radius: float = 0.05,
-    samples_per_turn: int = 720,
-    max_halvings: int = 6,
 ) -> dict:
     """Windings of the traced blow-up loop of the pendulum y'' = g(y-position).
 
@@ -123,7 +124,8 @@ def pendulum_loop_windings(
     vanish.  The routine solves the energy relation for v along the circle
     w = th^(m-1) (half a circle of th per leaf when m is odd), integrates
     original time by quadrature of dt = v^(m-1) dt2, and extracts integer
-    windings.  The radius is halved until two successive radii agree.
+    windings.  The radius is halved, at most ``_MAX_HALVINGS`` times, until
+    two successive radii agree.
     """
     g = [complex(c) for c in g_coeffs]
     while g and abs(g[-1]) < 1e-300:
@@ -139,9 +141,9 @@ def pendulum_loop_windings(
     leaves = 1 if m % 2 == 0 else 2
     result = None
     radius = loop_radius
-    for _ in range(max_halvings):
+    for _ in range(_MAX_HALVINGS):
         try:
-            wt, wv, ww = _trace_pendulum_loop(g, G, m, G0, radius, samples_per_turn)
+            wt, wv, ww = _trace_pendulum_loop(g, G, m, G0, radius)
         except (ValueError, ArithmeticError):
             radius *= 0.5
             continue
@@ -152,8 +154,9 @@ def pendulum_loop_windings(
     raise RuntimeError("winding extraction did not stabilize under radius halving")
 
 
-def _trace_pendulum_loop(g, G, m, G0, theta_radius, n):
-    """One traced loop; returns measured (w_t, w_v, w_w)."""
+def _trace_pendulum_loop(g, G, m, G0, theta_radius):
+    """One traced loop of ``_SAMPLES_PER_TURN`` samples; returns measured (w_t, w_v, w_w)."""
+    n = _SAMPLES_PER_TURN
     # theta range: full turn for even m (single leaf), half for odd m.
     span = 2.0 * math.pi if m % 2 == 0 else math.pi
     thetas = [theta_radius * cmath.exp(1j * span * k / n) for k in range(n + 1)]

@@ -58,6 +58,8 @@ __all__ = [
     "approach_blowup",
 ]
 
+_FIBER_RADII = (1e-2, 5e-3, 2.5e-3)  # each half the last: Richardson in powers of 2
+
 
 class DetourError(RuntimeError):
     pass
@@ -155,7 +157,6 @@ def masuda_detour(
     approach: Trajectory,
     loop_radius: float | None,
     cycles: int,
-    closure_threshold: float | None = None,
     cfg: IntegrationConfig | None = None,
 ) -> DetourReport:
     """Circle the estimated blow-up time and measure the lifted discrepancy.
@@ -164,7 +165,7 @@ def masuda_detour(
     radial transport leg from the endpoint onto the circle.  Discrepancy is
     the state-space distance between the lifted states before and after the
     ``cycles`` traversals, reported both absolutely and against the relative
-    closure threshold (default 1e-6 of the fiber magnitude at loop entry).
+    closure threshold (1e-6 of the fiber magnitude at loop entry).
     ``loop_radius=None`` takes half the distance |t_enter - T| from the
     approach endpoint to the estimated blow-up time.
     """
@@ -226,7 +227,7 @@ def masuda_detour(
 
     discrepancy = per_cycle[-1]
     fiber_mag = abs(start_state[0] - blowup_eq.location[0])
-    threshold = closure_threshold if closure_threshold is not None else 1e-6 * fiber_mag
+    threshold = 1e-6 * fiber_mag
     closed = discrepancy < threshold
 
     windings = {
@@ -294,16 +295,15 @@ def holonomy_multiplier(
     system: ChartSystem,
     eq: EquilibriumRecord,
     base_radius: float,
-    fiber_radii: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3),
     cfg: IntegrationConfig | None = None,
 ) -> HolonomyEstimate:
     """Limit of h(u0)/u0 for the fiber holonomy over one base loop.
 
     Requires an equilibrium at infinity, where the chart structure makes the
     fiber line invariant (the first blow-up component is divisible by the
-    fiber coordinate).  The multiplier for each starting radius is refined by
-    Richardson extrapolation across the radii, which must come in geometric
-    progression with ratio 2; the extrapolated value is compared against
+    fiber coordinate).  The multiplier for each starting radius in
+    ``_FIBER_RADII`` is refined by Richardson extrapolation across the radii,
+    which halve in turn; the extrapolated value is compared against
     exp(2 pi i lambda) when the record carries a spectral quotient.
     """
     if eq.chart not in (Chart.UZ, Chart.VW):
@@ -311,14 +311,10 @@ def holonomy_multiplier(
     fld = system.field(eq.chart)
     if any(j == 0 for j, _ in fld.f.terms):
         raise NoInvariantFiberError("first chart component is not divisible by the fiber coordinate")
-    radii = tuple(sorted(fiber_radii, reverse=True))
-    for a, b in zip(radii, radii[1:]):
-        if abs(a / b - 2.0) > 1e-9:
-            raise ValueError("fiber radii must fall in geometric progression with ratio 2")
     loop = TimePath.circle(eq.location[1], base_radius)
     cfg = cfg or IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
     multipliers = []
-    for r in radii:
+    for r in _FIBER_RADII:
         res = continue_leaf(system, eq.chart, loop, complex(r), cfg)
         multipliers.append(res["fiber_end"] / r)
     # Richardson table assuming an asymptotic error series in integer powers
@@ -337,8 +333,8 @@ def holonomy_multiplier(
         deviation = abs(refined - predicted)
     return HolonomyEstimate(
         multiplier=complex(refined),
-        fiber_radii=radii,
-        richardson_order=len(radii) - 1,
+        fiber_radii=_FIBER_RADII,
+        richardson_order=len(_FIBER_RADII) - 1,
         predicted=predicted,
         deviation=deviation,
     )

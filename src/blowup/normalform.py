@@ -1,13 +1,13 @@
 """Formal diagonalization at nonresonant semisimple equilibria.
 
-The transform (u, z) = Psi(u~, z~) is built degree by degree: at each total
-degree n, every monomial coefficient c of the nonlinear residue in component
-iota is cancelled by the compensating coefficient -c / (lambda_iota -
-alpha . lambda) of the same monomial in Psi, after which the field is pulled
-back exactly through the enlarged transform and the next degree is attacked.  Small denominators are
-refused outright: any scanned divisor at or below 1e-8 * max|lambda| raises, with
-the offending multi-index attached, instead of polluting the transform with
-huge coefficients.
+The transform (u, z) = Psi(u~, z~) solves the conjugacy equation
+F o Psi = DPsi . Lambda p, Lambda = diag(lambda_1, lambda_2), degree by
+degree: while Psi is exact below total degree n, every degree-n monomial
+coefficient c of F o Psi in component iota is cancelled by the compensating
+coefficient -c / (lambda_iota - alpha . lambda) of the same monomial in Psi.
+Small denominators are refused outright: any scanned divisor at or below
+1e-8 * max|lambda| raises, with the offending multi-index attached, instead
+of polluting the transform with huge coefficients.
 
 When the source system has an invariant fiber line (first blow-up component
 divisible by u), the construction never produces a pure-z~ monomial in
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from blowup.algebra import BivariatePolynomial, Chart, ChartSystem, PlanarField, jacobian
-from blowup.equilibria import EquilibriumRecord
+from blowup.algebra import BivariatePolynomial, ChartSystem, jacobian
+from blowup.equilibria import EquilibriumRecord, small_divisor_scan
 
 __all__ = [
     "TruncatedTransform",
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _ROUNDOFF_FLOOR = 1e-13
+_RESIDUAL_SAMPLES = 64
+_RESIDUAL_SEED = 2024
 
 
 class NormalFormError(RuntimeError):
@@ -147,52 +149,16 @@ def _localized_field(
     return (out1, out2), (l1, l2), ((complex(V[0, 0]), complex(V[0, 1])), (complex(V[1, 0]), complex(V[1, 1])))
 
 
-def _pullback(
-    field: tuple[BivariatePolynomial, BivariatePolynomial],
-    psi: tuple[BivariatePolynomial, BivariatePolynomial],
-    order: int,
-) -> tuple[BivariatePolynomial, BivariatePolynomial]:
-    """(DPsi)^{-1} (F o Psi) truncated at total degree ``order``."""
-    f_comp = field[0].compose(psi[0], psi[1], max_degree=order)
-    g_comp = field[1].compose(psi[0], psi[1], max_degree=order)
-    d11 = psi[0].partial_x()
-    d12 = psi[0].partial_y()
-    d21 = psi[1].partial_x()
-    d22 = psi[1].partial_y()
-    one = BivariatePolynomial({(0, 0): 1.0})
-    e11, e12 = d11 - one, d12
-    e21, e22 = d21, d22 - one
-    # Neumann series for (I + E)^{-1}: E has no constant terms, so powers
-    # beyond ``order`` vanish after truncation.
-    inv11, inv12, inv21, inv22 = one, BivariatePolynomial({}), BivariatePolynomial({}), one
-    t11, t12, t21, t22 = e11, e12, e21, e22
-    sign = -1.0
-    for _ in range(order):
-        inv11 = inv11 + t11.scaled(sign)
-        inv12 = inv12 + t12.scaled(sign)
-        inv21 = inv21 + t21.scaled(sign)
-        inv22 = inv22 + t22.scaled(sign)
-        n11 = (t11 * e11 + t12 * e21).truncated(order)
-        n12 = (t11 * e12 + t12 * e22).truncated(order)
-        n21 = (t21 * e11 + t22 * e21).truncated(order)
-        n22 = (t21 * e12 + t22 * e22).truncated(order)
-        t11, t12, t21, t22 = n11, n12, n21, n22
-        sign *= -1.0
-        if t11.is_zero and t12.is_zero and t21.is_zero and t22.is_zero:
-            break
-    out1 = (inv11 * f_comp + inv12 * g_comp).truncated(order)
-    out2 = (inv21 * f_comp + inv22 * g_comp).truncated(order)
-    return out1, out2
-
-
 def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int = 8) -> TruncatedTransform:
     """Diagonalizing transform to polynomial order ``order_N`` at ``eq``.
 
-    Eliminates nonlinear terms degree by degree; each removed monomial
-    contributes its coefficient divided by lambda_iota - alpha . lambda to
-    the transform.  Raises ``ResonantAtOrderError`` the moment a divisor
-    drops to 1e-8 * max|lambda| or below, which includes every divisor of a
-    zero spectrum (exact resonances and near-resonances are treated alike: a
+    Solves F o Psi = DPsi . Lambda p degree by degree; each degree-n
+    coefficient of F o Psi contributes itself divided by lambda_iota -
+    alpha . lambda to the transform, and the finished transform is checked
+    against that equation through ``order_N``.  Raises
+    ``ResonantAtOrderError`` the moment a divisor drops to
+    1e-8 * max|lambda| or below, which includes every divisor of a zero
+    spectrum (exact resonances and near-resonances are treated alike: a
     transform with exploding coefficients is worthless).
     """
     if eq.eigenvalues is None:
@@ -206,37 +172,29 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
     local, (l1, l2), V = _localized_field(system, eq)
     guard = 1e-8 * max(abs(l1), abs(l2))
     # pre-scan all divisors up to order_N so resonance surfaces before work
-    for n in range(2, order_N + 1):
-        for a1 in range(n + 1):
-            a2 = n - a1
-            combo = a1 * l1 + a2 * l2
-            for iota, li in ((1, l1), (2, l2)):
-                if abs(li - combo) <= guard:
-                    raise ResonantAtOrderError(n, (a1, a2), iota, abs(li - combo))
+    for row in small_divisor_scan((l1, l2), order_N):
+        if row["min_divisor"] <= guard:
+            raise ResonantAtOrderError(row["order"], tuple(row["alpha"]), row["component"], row["min_divisor"])
 
-    ident = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
-    psi = ident
+    psi = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
     min_div = math.inf
     for n in range(2, order_N + 1):
-        current = _pullback(local, psi, n)
-        addition: dict[int, dict[tuple[int, int], complex]] = {1: {}, 2: {}}
-        for iota, comp in ((1, current[0]), (2, current[1])):
-            li = l1 if iota == 1 else l2
-            for (a1, a2), c in comp.terms.items():
+        addition: list[dict[tuple[int, int], complex]] = [{}, {}]
+        for terms, li, comp in zip(addition, (l1, l2), local):
+            for (a1, a2), c in comp.compose(psi[0], psi[1], max_degree=n).terms.items():
                 if a1 + a2 != n:
                     continue
                 div = li - (a1 * l1 + a2 * l2)
                 min_div = min(min_div, abs(div))
-                addition[iota][(a1, a2)] = -c / div
+                terms[(a1, a2)] = -c / div
         psi = (
-            psi[0] + BivariatePolynomial(addition[1]),
-            psi[1] + BivariatePolynomial(addition[2]),
+            psi[0] + BivariatePolynomial(addition[0]),
+            psi[1] + BivariatePolynomial(addition[1]),
         )
-    # verify: pulled-back field is diagonal through order_N
-    final = _pullback(local, psi, order_N)
-    lin = (BivariatePolynomial({(1, 0): l1}), BivariatePolynomial({(0, 1): l2}))
-    for got, want in zip(final, lin):
-        resid = got - want
+    # verify: F o Psi = DPsi . Lambda p through order_N
+    for comp, p in zip(local, psi):
+        flowed = BivariatePolynomial({(a1, a2): (a1 * l1 + a2 * l2) * c for (a1, a2), c in p.terms.items()})
+        resid = comp.compose(psi[0], psi[1], max_degree=order_N) - flowed
         worst = max((abs(c) for c in resid.terms.values()), default=0.0)
         if worst > 1e-9 * max(abs(l1), abs(l2)):
             raise NormalFormError(f"elimination left residual coefficients of size {worst:.3g}")
@@ -261,14 +219,17 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
 def _compose_inverse(
     psi: tuple[BivariatePolynomial, BivariatePolynomial], order: int
 ) -> tuple[BivariatePolynomial, BivariatePolynomial]:
-    """Fixed-point inversion: Phi = id - (Psi - id) o Phi, truncated."""
+    """Fixed-point inversion: Phi = id - (Psi - id) o Phi, truncated.
+
+    Sweep n fixes the degree-n terms of Phi, so it composes only to degree n.
+    """
     ident = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
     nl = (psi[0] - ident[0], psi[1] - ident[1])
     phi = ident
-    for _ in range(order):
+    for n in range(2, order + 1):
         phi = (
-            ident[0] - nl[0].compose(phi[0], phi[1], max_degree=order),
-            ident[1] - nl[1].compose(phi[0], phi[1], max_degree=order),
+            ident[0] - nl[0].compose(phi[0], phi[1], max_degree=n),
+            ident[1] - nl[1].compose(phi[0], phi[1], max_degree=n),
         )
     return phi
 
@@ -278,8 +239,6 @@ def conjugacy_residual(
     eq: EquilibriumRecord,
     transform: TruncatedTransform,
     ball_radius: float,
-    sample_count: int = 64,
-    seed: int = 2024,
 ) -> dict:
     """Deviation of the pulled-back field from its diagonal linearization.
 
@@ -295,25 +254,19 @@ def conjugacy_residual(
     radii = (ball_radius, ball_radius / 2.0, ball_radius / 4.0)
     l1, l2 = transform.eigenvalues
     local, _, _ = _localized_field(system, eq)
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(sample_count, 2))
-    scales = rng.uniform(0.5, 1.0, size=sample_count)
+    rng = np.random.default_rng(_RESIDUAL_SEED)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_RESIDUAL_SAMPLES, 2))
+    scales = rng.uniform(0.5, 1.0, size=_RESIDUAL_SAMPLES)
+    psi = transform.components
+    dpsi = ((psi[0].partial_x(), psi[0].partial_y()), (psi[1].partial_x(), psi[1].partial_y()))
     maxima = []
     for r in radii:
         worst = 0.0
         for (a1, a2), sc in zip(angles, scales):
             pt = (r * sc * cmath.exp(1j * a1), r * sc * cmath.exp(1j * a2))
-            img = (transform.components[0](pt[0], pt[1]), transform.components[1](pt[0], pt[1]))
+            img = (psi[0](pt[0], pt[1]), psi[1](pt[0], pt[1]))
             vec = np.array([local[0](img[0], img[1]), local[1](img[0], img[1])])
-            Dpsi = np.array(
-                [
-                    [transform.components[0].partial_x()(pt[0], pt[1]),
-                     transform.components[0].partial_y()(pt[0], pt[1])],
-                    [transform.components[1].partial_x()(pt[0], pt[1]),
-                     transform.components[1].partial_y()(pt[0], pt[1])],
-                ],
-                dtype=complex,
-            )
+            Dpsi = np.array([[d(pt[0], pt[1]) for d in row] for row in dpsi], dtype=complex)
             pulled = np.linalg.solve(Dpsi, vec)
             gap = pulled - np.array([l1 * pt[0], l2 * pt[1]])
             worst = max(worst, float(np.max(np.abs(gap))))

@@ -82,6 +82,8 @@ def _need(params: dict, defaults: dict) -> dict:
 def _riccati(params):
     p = _need(params, {"a": 1.0, "e1": 1.0, "e2": -1.0})
     a, e1, e2 = complex(p["a"]), complex(p["e1"]), complex(p["e2"])
+    if a == 0 or e1 == e2:
+        raise ExcludedParameterError("a = 0 and e1 = e2 are excluded")
     f = P([(2, 0, a), (1, 0, -a * (e1 + e2)), (0, 0, a * e1 * e2)])
     fld = PlanarField(f, P([(0, 1, -1.0)]))
     expected = {
@@ -248,10 +250,12 @@ def _reciprocal_diag(params):
 def _homogeneous(params):
     p = _need(params, {"fy": 1.0, "gx": 2.0})
     fy, gx = complex(p["fy"]), complex(p["gx"])
+    if abs(gx - 1.0) <= 1e-12:
+        raise ExcludedParameterError("gx = 1 is excluded")
     fld = PlanarField(P([(2, 0, 1.0), (0, 2, fy)]), P([(1, 1, gx)]))
     # f1(z) = 1 + fy z^2, g1(z) = gx z, P(z) = (gx - 1) z - fy z^3.
     roots = [0.0 + 0.0j]
-    if abs(fy) > 1e-12 and abs(gx - 1.0) > 1e-12:
+    if abs(fy) > 1e-12:
         r = cmath.sqrt((gx - 1.0) / fy)
         roots += [r, -r]
     quot = {}
@@ -435,12 +439,15 @@ def _totient(n: int) -> int:
 
 
 def galerkin_spectrum(variant: str, params: dict) -> list[dict]:
-    """Closed-form expected equilibrium records for the caricature systems."""
+    """Closed-form expected equilibrium records for the caricature systems.
+
+    The parameters are checked by the catalog builder of the variant, so
+    every excluded value raises ``ExcludedParameterError`` here too.
+    """
+    if variant not in ("symmetric", "asymmetric"):
+        raise UnknownNameError(f"unknown variant {variant!r}")
+    exp = catalog_get(f"galerkin_{variant}", params).expected
     if variant == "symmetric":
-        a = float(_need(params, {"a": 2.0})["a"])
-        if a in (0.0, 1.0):
-            raise ExcludedParameterError("a = 0 and a = 1 are excluded")
-        exp = _symmetric_expected(a)
         out = [
             {
                 "location_z": 0.0,
@@ -459,29 +466,22 @@ def galerkin_spectrum(variant: str, params: dict) -> list[dict]:
                 }
             )
         return out
-    if variant == "asymmetric":
-        p = _need(params, {"b1": 1.0, "b3": 0.0})
-        b1, b3 = float(p["b1"]), float(p["b3"])
-        if b1 <= 0:
-            raise ExcludedParameterError("b1 must be positive")
-        exp = _asymmetric_expected(b1, b3)
-        out = [
+    out = [
+        {
+            "location_w": 0.0,
+            "eigenvalues": exp["origin_vw_eigenvalues"],
+            "quotient": exp["origin_quotient"],
+            "semisimple": True,
+        }
+    ]
+    for e in exp["e_pm"]:
+        evs = exp["e_eigenvalues"][_key(e)]
+        out.append(
             {
-                "location_w": 0.0,
-                "eigenvalues": exp["origin_vw_eigenvalues"],
-                "quotient": exp["origin_quotient"],
+                "location_w": e,
+                "eigenvalues": evs,
+                "quotient": evs[0] / evs[1],
                 "semisimple": True,
             }
-        ]
-        for e in exp["e_pm"]:
-            evs = exp["e_eigenvalues"][_key(e)]
-            out.append(
-                {
-                    "location_w": e,
-                    "eigenvalues": evs,
-                    "quotient": evs[0] / evs[1],
-                    "semisimple": True,
-                }
-            )
-        return out
-    raise UnknownNameError(f"unknown variant {variant!r}")
+        )
+    return out

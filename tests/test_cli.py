@@ -23,6 +23,10 @@ def _error_line(capsys) -> dict:
                  id="malformed-start"),
     pytest.param(["pendulum", "--g", "abc"], id="malformed-g"),
     pytest.param(["catalog", "show", "riccati", "--params", "a=abc"], id="malformed-params"),
+    pytest.param(["catalog", "show", "riccati", "--params", "e1=1,e2=1"], id="riccati-double-root"),
+    pytest.param(["catalog", "show", "riccati", "--params", "a=0"], id="riccati-zero-rate"),
+    pytest.param(["catalog", "show", "homogeneous", "--params", "gx=1"], id="homogeneous-gx-one"),
+    pytest.param(["classify", "catalog:homogeneous?gx=1"], id="classify-homogeneous-gx-one"),
     pytest.param(["trees", "--max-m", "31"], id="trees-out-of-range"),
     pytest.param(["linearize", "catalog:galerkin_symmetric", "--eq", "0", "--order", "20"], id="order-too-high"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
-from blowup.equilibria import classify_spectrum, EquilibriumRecord
+from blowup.cli import classified_equilibria
+from blowup.equilibria import classify_spectrum, EquilibriumRecord, small_divisor_scan
 from blowup.normalform import (
+    NormalFormError,
     NotSemisimpleError,
     ResonantAtOrderError,
     conjugacy_residual,
@@ -187,3 +189,28 @@ def test_zero_spectrum_is_resonant_at_order_two():
     with pytest.raises(ResonantAtOrderError) as err:
         poincare_linearize(sys, eq, order_N=4)
     assert err.value.order == 2
+
+
+def _galerkin_asymmetric_eq0(b1, b3):
+    """Equilibrium 0 in the order the CLI's ``--eq`` counts."""
+    sys, recs = classified_equilibria(catalog_get("galerkin_asymmetric", {"b1": b1, "b3": b3}).system)
+    return sys, recs[0]
+
+
+def test_galerkin_asymmetric_linearizes_at_order_13():
+    # no divisor is small here, so F o Psi = DPsi . Lambda p must hold to
+    # 1e-9 * max|lambda| through order 13
+    sys, eq = _galerkin_asymmetric_eq0(1.0, -0.5)
+    tr = poincare_linearize(sys, eq, order_N=13)
+    r1, r2, _ = conjugacy_residual(sys, eq, tr, ball_radius=0.1)["max_residuals"]
+    assert r1 / r2 >= 2.0**13
+
+
+def test_conjugacy_check_refuses_near_resonant_transform():
+    # quotient 5.0096: the order-5 divisor is 2.1e-3, above the pre-scan
+    # guard, and the transform it feeds fails the conjugacy check
+    sys, eq = _galerkin_asymmetric_eq0(1.25, 0.5)
+    assert eq.spectral_quotient == pytest.approx(5.0096, abs=1e-4)
+    assert small_divisor_scan(eq.eigenvalues, 5)[-1]["min_divisor"] == pytest.approx(2.1e-3, rel=0.05)
+    with pytest.raises(NormalFormError, match="elimination left residual coefficients"):
+        poincare_linearize(sys, eq, order_N=13)

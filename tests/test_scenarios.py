@@ -87,6 +87,12 @@ def test_galerkin_excluded_parameters():
         catalog_get("galerkin_asymmetric", {"b1": -1.0})
 
 
+@pytest.mark.parametrize("b3", [1.0, 2.0, -3.0])  # beta = 1, 1 + 1/b1^2, -3
+def test_galerkin_spectrum_refuses_excluded_beta(b3):
+    with pytest.raises(ExcludedParameterError):
+        galerkin_spectrum("asymmetric", {"b1": 1.0, "b3": b3})
+
+
 def test_hamiltonian_entries_build_hamiltonians():
     for name in ("weierstrass", "duffing", "linear_pendulum"):
         entry = catalog_get(name)
