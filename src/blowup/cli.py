@@ -128,16 +128,14 @@ def parse_system_file(path: str) -> PlanarField | PolynomialHamiltonian:
         raise ParseError("system file must hold a JSON object")
     if "H" in doc:
         H = _poly_from_rows(doc["H"], "H")
-        level = doc.get("level", [0.0, 0.0])
-        if not (isinstance(level, list) and len(level) == 2):
-            raise ParseError("level must be a [re, im] pair")
+        level = _pair(doc.get("level", [0.0, 0.0]), "level")
         if H.degree < 2:
             raise DegreeZeroError("Hamiltonian degree below 2")
-        return PolynomialHamiltonian(H, complex(level[0], level[1]))
+        return PolynomialHamiltonian(H, level)
     if "f" not in doc or "g" not in doc:
         raise ParseError("system file needs either f and g, or H")
     params = doc.get("parameters", {})
-    if any(not isinstance(v, (int, float)) for v in params.values()):
+    if not isinstance(params, dict) or any(not isinstance(v, (int, float)) for v in params.values()):
         raise ParseError("user files must carry fully numeric parameters")
     f = _poly_from_rows(doc["f"], "f")
     g = _poly_from_rows(doc["g"], "g")
@@ -200,27 +198,35 @@ def load_path_file(path: str) -> TimePath:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ParseError(f"cannot read path file {path}: {err}") from None
+    if not (isinstance(doc, dict) and isinstance(doc.get("segments", []), list)):
+        raise ParseError("path file must hold an object with a list of segments")
     segs = []
     for i, seg in enumerate(doc.get("segments", [])):
-        kind = seg.get("type")
+        kind = seg.get("type") if isinstance(seg, dict) else None
         if kind == "line":
             segs.append(Line(_pair(seg["from"], f"segments[{i}].from"),
                              _pair(seg["to"], f"segments[{i}].to")))
         elif kind == "arc":
             segs.append(Arc(_pair(seg["center"], f"segments[{i}].center"),
-                            float(seg["radius"]), float(seg["angle_from"]),
-                            float(seg["angle_to"])))
+                            *(_real(seg[key], f"segments[{i}].{key}")
+                              for key in ("radius", "angle_from", "angle_to"))))
         else:
             raise ParseError(f"segments[{i}]: type must be line or arc")
     if not segs:
         raise ParseError("path file has no segments")
-    return TimePath(tuple(segs), int(doc.get("cycles", 1)))
+    return TimePath(tuple(segs), int(_real(doc.get("cycles", 1), "cycles")))
+
+
+def _real(val, what: str) -> float:
+    if not isinstance(val, (int, float)):
+        raise ParseError(f"{what} must be a number")
+    return float(val)
 
 
 def _pair(val, what: str) -> complex:
     if not (isinstance(val, list) and len(val) == 2):
         raise ParseError(f"{what} must be a [re, im] pair")
-    return complex(val[0], val[1])
+    return complex(_real(val[0], what), _real(val[1], what))
 
 
 # ------------------------------------------------------------------ reports
@@ -439,11 +445,22 @@ def load_portrait_spec(path: str) -> dict:
         doc = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as err:
         raise ParseError(f"cannot read portrait spec {path}: {err}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("portrait spec must hold a JSON object")
     for key in ("chart", "grid", "time_direction", "horizon"):
         if key not in doc:
             raise ParseError(f"portrait spec is missing {key!r}")
-    if doc["horizon"] <= 0:
+    if _real(doc["horizon"], "horizon") <= 0:
         raise ParseError("horizon must be positive")
+    for key in ("rel_tol", "abs_tol", "max_step"):
+        _real(doc.get(key, 0.0), key)
+    grid = doc["grid"]
+    if not (isinstance(grid, dict) and all(isinstance(grid.get(a), list) and len(grid[a]) == 3 for a in ("re", "im"))):
+        raise ParseError("grid needs re and im as [from, to, count] triples")
+    for val in grid["re"] + grid["im"]:
+        _real(val, "grid")
+    if not isinstance(doc.get("styling", {}), dict):
+        raise ParseError("styling must be an object")
     return doc
 
 
@@ -473,7 +490,7 @@ def _time_path(spec: dict) -> TimePath:
     elif direction == "Imaginary":
         end = complex(0.0, horizon)
     elif isinstance(direction, dict) and "Ray" in direction:
-        end = horizon * cmath.exp(1j * float(direction["Ray"]))
+        end = horizon * cmath.exp(1j * _real(direction["Ray"], "time_direction.Ray"))
     else:
         raise ParseError("time_direction must be Real, Imaginary, or {\"Ray\": angle}")
     return TimePath.from_points([0.0, end])

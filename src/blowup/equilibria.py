@@ -13,7 +13,6 @@ than nonresonant whenever rationality would change the verdict.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction

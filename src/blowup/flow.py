@@ -8,13 +8,17 @@ separate entry point integrates a chart system in its *own* rescaled time and
 accumulates original time as an augmented variable, which is the natural
 parametrization when relaxing onto a blow-up equilibrium.
 
-The stepper is an embedded Dormand-Prince 5(4) pair with PI step-size
-control, applied to the complex state viewed as four reals.
+The stepper is the embedded Dormand-Prince 5(4) pair (Hairer, Norsett &
+Wanner, *Solving ODEs I*, II.4-II.5) with PI step-size control, on a state
+that is a tuple of Python ``complex`` throughout.  A step's error is the RMS
+over complex components of |err| / (abs_tol + rel_tol * max(|y|, |y_new|)),
+per unit step; a stage that divides by zero or overflows counts as infinite.
 
-All three integrators march through ``_march(path, y0, cfg, rhs, on_step)``.
-It walks the path one segment at a time, because corners are derivative
-jumps: segment ``floor(s + 1e-9)`` runs up to its end, and the step
-controller starts afresh at every corner.  Inside a segment both callbacks
+All three integrators march through ``_march(path, y0, cfg, rhs, on_step)``,
+the only loop that takes steps: it evaluates the stages and runs the step
+controller itself.  It walks the path one segment at a time, because corners
+are derivative jumps: segment ``floor(s + 1e-9)`` runs up to its end, and the
+step controller starts afresh at every corner.  Inside a segment both callbacks
 see the global parameter ``s``, the state ``y``, the active segment and its
 local parameter ``sigma``, clamped to [0, 1] because adaptive stages may
 poke a rounding error past the corner, where the path velocity jumps.
@@ -30,11 +34,10 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
-
-import numpy as np
 
 from blowup.algebra import Chart, ChartSystem, chart_point
 
@@ -49,7 +52,6 @@ __all__ = [
     "FlowError",
     "PathDiscontinuityError",
     "StepUnderflowError",
-    "DivergedError",
     "NotClosedError",
     "TooCoarseError",
     "SectionTangencyError",
@@ -70,16 +72,12 @@ class FlowError(RuntimeError):
     pass
 
 
-class PathDiscontinuityError(FlowError):
-    """Consecutive path segments do not join continuously."""
+class PathDiscontinuityError(ValueError):
+    """Consecutive path segments do not join continuously (bad input, like TimePath's other checks)."""
 
 
 class StepUnderflowError(FlowError):
     """The adaptive step collapsed; an unavoidable singularity sits on the path."""
-
-
-class DivergedError(FlowError):
-    """State norm exceeded the divergence bound in every valid chart."""
 
 
 class NotClosedError(FlowError):
@@ -143,6 +141,7 @@ class Arc:
 
 
 Segment = Line | Arc
+State = tuple[complex, ...]  # one Python complex per component
 
 
 @dataclass(frozen=True)
@@ -267,102 +266,85 @@ _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _dp_step(f: Callable[[float, np.ndarray], np.ndarray], s: float, y: np.ndarray, h: float):
-    """One embedded step; returns (y5, error_estimate, stages_used)."""
-    k = []
-    for i in range(7):
-        yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
-            yi = yi + h * a * k[j]
-        k.append(f(s + _DP_C[i] * h, yi))
-    y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k))
-    y4 = y + h * sum(b * ki for b, ki in zip(_DP_B4, k))
-    return y5, y5 - y4
+# error weights b5 - b4: the step's error straight from the stages, not as y5 - y4, which cancels
+_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _adaptive_run(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    s0: float,
-    s1: float,
-    y0: np.ndarray,
-    cfg: IntegrationConfig,
-    callback: Callable[[float, np.ndarray], Termination | np.ndarray | None],
-) -> tuple[Termination | np.ndarray | None, float, np.ndarray]:
-    """March f from s0 to s1 with PI-controlled DP45 steps.
-
-    ``callback(s, y)`` is invoked after every accepted step (it is
-    responsible for recording state); any value but ``None`` stops the run.
-    Returns that value, or ``None`` once s1 is reached, with the last
-    accepted (s, y).  Raises StepUnderflowError when the step collapses
-    below 1e-14 of the span.
-    """
-    span = s1 - s0
-    s, y = s0, y0.copy()
-    h = min(cfg.max_step, span / 10.0, span)
-    prev_err = 1.0
-    safety, order = 0.9, 4.0  # error-per-unit-step: controlled error is O(h^4)
-    # the embedded difference cannot drop below roundoff of the state, so
-    # steps whose scaled error reaches that floor are accepted regardless of
-    # the per-unit-step demand (forced-short steps at segment ends hit this)
-    roundoff_floor = 8.0 * np.finfo(float).eps / cfg.rel_tol
-    while s < s1 - 1e-15 * max(span, abs(s1)):
-        h = min(h, s1 - s, cfg.max_step)
-        if h < _UNDERFLOW_FACTOR * span:
-            raise StepUnderflowError(f"step underflow at s={s:.6g}")
-        y_new, err_vec = _dp_step(f, s, y, h)
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
-        err_raw = float(np.sqrt(np.mean(np.abs(err_vec / scale) ** 2)))
-        # error per unit step: accumulated error over the whole span then
-        # tracks the tolerance proportionally, so halving rel_tol (at least)
-        # halves the global drift
-        err = err_raw / max(h, 1e-300)
-        at_floor = err_raw <= roundoff_floor
-        if err <= 1.0 or at_floor or h < 4 * _UNDERFLOW_FACTOR * span:
-            s = s1 if (s1 - s) <= h * (1.0 + 1e-9) else s + h
-            y = y_new
-            verdict = callback(s, y)
-            if verdict is not None:
-                return verdict, s, y
-            if at_floor:
-                h *= 5.0
-            else:
-                # PI controller (0.7/order, 0.4/order exponents).
-                growth = safety * err ** (-0.7 / order) * prev_err ** (0.4 / order) if err > 0 else 5.0
-                h *= min(5.0, max(0.2, growth))
-            prev_err = max(err, 1e-10)
-        else:
-            h *= max(0.1, safety * err ** (-1.0 / order))
-    return None, s, y
+def _combine(y: State, h: float, weights: Sequence[float], k: list[State]) -> State:
+    """``y + h * sum_j weights[j] * k[j]``, component by component."""
+    out = []
+    for i, yi in enumerate(y):
+        acc = 0j
+        for w, kj in zip(weights, k):
+            acc += w * kj[i]
+        out.append(yi + h * acc)
+    return tuple(out)
 
 
 def _march(
     path: TimePath,
-    y0: np.ndarray,
+    y0: State,
     cfg: IntegrationConfig,
-    rhs: Callable[[float, np.ndarray, Segment, float], np.ndarray],
-    on_step: Callable[[float, np.ndarray, Segment, float], Termination | np.ndarray | None],
+    rhs: Callable[[float, State, Segment, float], State],
+    on_step: Callable[[float, State, Segment, float], Termination | State | None],
 ) -> Termination:
     """Integrate ``rhs`` along ``path`` segment by segment (contract in the module docstring)."""
     total = path.s_length
-    s_now, state = 0.0, y0
-    while s_now < total - 1e-12:
-        idx = min(int(math.floor(s_now + 1e-9)), int(total) - 1)
-        seg_end = min(idx + 1.0, total)
+    safety, order = 0.9, 4.0  # error-per-unit-step: controlled error is O(h^4)
+    # the embedded error cannot drop below roundoff of the state, so steps
+    # whose scaled error reaches that floor are accepted regardless of the
+    # per-unit-step demand (forced-short steps at segment ends hit this)
+    roundoff_floor = 8.0 * sys.float_info.epsilon / cfg.rel_tol
+    s, y = 0.0, y0
+    while s < total - 1e-12:
+        idx = min(int(math.floor(s + 1e-9)), int(total) - 1)
+        s1 = min(idx + 1.0, total)
         seg = path.segment_at(idx)
-
-        def f(s: float, y: np.ndarray) -> np.ndarray:
-            return rhs(s, y, seg, min(max(s - idx, 0.0), 1.0))
-
-        def callback(s: float, y: np.ndarray) -> Termination | np.ndarray | None:
-            return on_step(s, y, seg, min(max(s - idx, 0.0), 1.0))
-
-        verdict, s_stop, state = _adaptive_run(f, s_now, seg_end, state, cfg, callback)
-        if isinstance(verdict, Termination):
-            return verdict
-        if verdict is None:
-            s_now = seg_end  # corner reached; move on to the next segment
+        span = s1 - s
+        h = min(cfg.max_step, span / 10.0, span)
+        prev_err = 1.0
+        while s < s1 - 1e-15 * max(span, abs(s1)):
+            h = min(h, s1 - s, cfg.max_step)
+            if h < _UNDERFLOW_FACTOR * span:
+                raise StepUnderflowError(f"step underflow at s={s:.6g}")
+            try:
+                k = []
+                for c, a in zip(_DP_C, _DP_A):
+                    sc = s + c * h
+                    k.append(rhs(sc, _combine(y, h, a, k), seg, min(max(sc - idx, 0.0), 1.0)))
+                y_new = _combine(y, h, _DP_B5, k)
+                err_raw = math.sqrt(sum(
+                    (abs(e) / (cfg.abs_tol + cfg.rel_tol * max(abs(old), abs(new)))) ** 2
+                    for old, new, e in zip(y, y_new, _combine((0j,) * len(y), h, _DP_E, k))
+                ) / len(y))
+            except (ZeroDivisionError, OverflowError):  # a stage hit a pole: an infinite error
+                h *= 0.1
+                continue
+            # error per unit step: accumulated error over the whole span then
+            # tracks the tolerance proportionally, so halving rel_tol (at least)
+            # halves the global drift
+            err = err_raw / max(h, 1e-300)
+            at_floor = err_raw <= roundoff_floor
+            if err <= 1.0 or at_floor or h < 4 * _UNDERFLOW_FACTOR * span:
+                s = s1 if (s1 - s) <= h * (1.0 + 1e-9) else s + h
+                y = y_new
+                verdict = on_step(s, y, seg, min(max(s - idx, 0.0), 1.0))
+                if isinstance(verdict, Termination):
+                    return verdict
+                if verdict is not None:
+                    y = verdict  # chart switch: the controller restarts at this s
+                    break
+                if at_floor:
+                    h *= 5.0
+                else:
+                    # PI controller (0.7/order, 0.4/order exponents).
+                    growth = safety * err ** (-0.7 / order) * prev_err ** (0.4 / order) if err > 0 else 5.0
+                    h *= min(5.0, max(0.2, growth))
+                prev_err = max(err, 1e-10)
+            else:
+                h *= max(0.1, safety * err ** (-1.0 / order))
         else:
-            s_now, state = s_stop, verdict
+            s = s1  # corner reached; the next segment starts afresh
     return Termination.COMPLETED
 
 
@@ -404,16 +386,14 @@ def integrate_path(
     state = (complex(start_coords[0]), complex(start_coords[1]))
     samples = [TrajectorySample(0.0, path.point(0.0), chart, state)]
 
-    def rhs(s: float, y: np.ndarray, seg: Segment, sigma: float) -> np.ndarray:
+    def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
         tdot = seg.velocity(sigma)
-        a, b = y[0], y[1]
-        da, db = system.field(chart)(a, b)
-        rho = system.euler_multiplier(chart, (a, b))
-        return np.array([da * tdot / rho, db * tdot / rho])
+        da, db = system.field(chart)(*y)
+        rho = system.euler_multiplier(chart, y)
+        return da * tdot / rho, db * tdot / rho
 
-    def on_step(s: float, y: np.ndarray, seg: Segment, sigma: float) -> Termination | np.ndarray | None:
+    def on_step(s: float, coords: State, seg: Segment, sigma: float) -> Termination | State | None:
         nonlocal chart
-        coords = (complex(y[0]), complex(y[1]))
         t = seg.point(sigma)
         samples.append(TrajectorySample(s, t, chart, coords))
         if designated_equilibrium is not None:
@@ -430,14 +410,14 @@ def integrate_path(
             if new_chart != chart:
                 chart = new_chart
                 samples.append(TrajectorySample(s, t, chart, new_coords))
-                return np.array(new_coords, dtype=complex)
+                return new_coords
         if mag > _DIVERGE_NORM:
             # a chart holding the state below this bound would have won above
             return Termination.DIVERGED
         return None
 
     try:
-        reason = _march(path, np.array(state, dtype=complex), cfg, rhs, on_step)
+        reason = _march(path, state, cfg, rhs, on_step)
     except StepUnderflowError:
         reason = Termination.STEP_UNDERFLOW
     return Trajectory(tuple(samples), reason)
@@ -460,19 +440,18 @@ def integrate_chart_time(
     """
     cfg = cfg or IntegrationConfig()
     fld = system.field(chart)
-    samples = [TrajectorySample(0.0, complex(t_start), chart, (complex(start_coords[0]), complex(start_coords[1])))]
+    state = (complex(start_coords[0]), complex(start_coords[1]), complex(t_start))
+    samples = [TrajectorySample(0.0, state[2], chart, state[:2])]
 
-    def rhs(s: float, y: np.ndarray, seg: Segment, sigma: float) -> np.ndarray:
+    def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
         tau_dot = seg.velocity(sigma)
-        a, b = y[0], y[1]
-        da, db = fld(a, b)
-        rho = system.euler_multiplier(chart, (a, b))
-        return np.array([da * tau_dot, db * tau_dot, rho * tau_dot])
+        da, db = fld(y[0], y[1])
+        rho = system.euler_multiplier(chart, y)
+        return da * tau_dot, db * tau_dot, rho * tau_dot
 
-    def on_step(s: float, y: np.ndarray, seg: Segment, sigma: float) -> None:
-        samples.append(TrajectorySample(s, complex(y[2]), chart, (complex(y[0]), complex(y[1]))))
+    def on_step(s: float, y: State, seg: Segment, sigma: float) -> None:
+        samples.append(TrajectorySample(s, y[2], chart, y[:2]))
 
-    state = np.array([start_coords[0], start_coords[1], t_start], dtype=complex)
     try:
         reason = _march(path, state, cfg, rhs, on_step)
     except StepUnderflowError:
@@ -529,16 +508,17 @@ def continue_leaf(
     """
     cfg = cfg or IntegrationConfig()
     fld = system.field(chart)
-    trace = [(0.0, complex(fiber_start))]
+    fiber0 = complex(fiber_start)
+    trace = [(0.0, fiber0)]
 
-    def rhs(s: float, y: np.ndarray, seg: Segment, sigma: float) -> np.ndarray:
+    def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
         d_fiber, d_base = fld(y[0], seg.point(sigma))
         if abs(d_base) < 1e-10 * max(abs(d_fiber), 1e-300):
             raise SectionTangencyError(f"base field vanished at s={s:.6g}")
-        return np.array([d_fiber / d_base * seg.velocity(sigma)])
+        return (d_fiber / d_base * seg.velocity(sigma),)
 
-    def on_step(s: float, y: np.ndarray, seg: Segment, sigma: float) -> None:
-        trace.append((s, complex(y[0])))
+    def on_step(s: float, y: State, seg: Segment, sigma: float) -> None:
+        trace.append((s, y[0]))
 
-    _march(base_loop, np.array([fiber_start], dtype=complex), cfg, rhs, on_step)
+    _march(base_loop, (fiber0,), cfg, rhs, on_step)
     return {"fiber_end": trace[-1][1], "fiber_trace": tuple(trace)}

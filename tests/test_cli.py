@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -35,6 +36,51 @@ def _error_line(capsys) -> dict:
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
     assert _error_line(capsys)["error"] == "validation"
+
+
+_FIELD = {"f": [[2, 0, 1.0, 0.0]], "g": [[0, 1, -1.0, 0.0]]}
+_SPEC = {"chart": "XY", "grid": {"re": [0.1, 0.2, 2], "im": [0.0, 0.0, 1]}, "time_direction": "Real",
+         "horizon": 0.1}
+_LINE = {"type": "line", "from": [0, 0], "to": [1, 0]}
+
+
+@pytest.mark.parametrize("command, doc", [
+    pytest.param("integrate", {"segments": [_LINE, {"type": "line", "from": [2, 0], "to": [3, 0]}]},
+                 id="path-gap"),
+    pytest.param("integrate", [], id="path-not-an-object"),
+    pytest.param("integrate", {"segments": ["x"]}, id="path-segment-not-an-object"),
+    pytest.param("portrait", {**_SPEC, "horizon": "2"}, id="portrait-horizon-text"),
+    pytest.param("portrait", {**_SPEC, "grid": []}, id="portrait-grid-not-an-object"),
+    pytest.param("portrait", {**_SPEC, "max_step": [0.1]}, id="portrait-max-step-list"),
+    pytest.param("classify", {"H": [[2, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]], "level": ["a", 0]},
+                 id="system-level-text"),
+    pytest.param("classify", {**_FIELD, "parameters": [1]}, id="system-parameters-list"),
+])
+def test_malformed_input_file_is_a_validation_error(command, doc, tmp_path, capsys):
+    file = tmp_path / "input.json"
+    file.write_text(json.dumps(doc))
+    argv = {
+        "integrate": ["integrate", "catalog:scalar_poly?m=2", "--path", str(file), "--start", "1,0"],
+        "portrait": ["portrait", "catalog:riccati", "--portrait", str(file), "--output", str(tmp_path / "p")],
+        "classify": ["classify", str(file)],
+    }[command]
+    assert run_command(argv) == 2
+    assert _error_line(capsys)["error"] == "validation"
+
+
+def test_integrate_detours_around_the_pole_into_the_blowup_chart(tmp_path, capsys):
+    # x' = x^2 from x(0) = 1 is x(t) = 1/(1 - t): along 0 -> 0.6 and then
+    # over the pole at t = 1 to t = 1.4, x = -2.5, which is u = -0.4 in UZ
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"segments": [
+        {"type": "line", "from": [0, 0], "to": [0.6, 0]},
+        {"type": "arc", "center": [1, 0], "radius": 0.4, "angle_from": math.pi, "angle_to": 0},
+    ]}))
+    argv = ["integrate", "catalog:scalar_poly?m=2", "--path", str(path), "--start", "1,0"]
+    assert run_command(argv) == 0
+    last = capsys.readouterr().out.strip().splitlines()[-1].split(",")
+    assert last[3] == "UZ"
+    assert abs(complex(float(last[4]), float(last[5])) + 0.4) < 1e-9
 
 
 def test_winding_law_violation_exits_numerical(monkeypatch, capsys):

@@ -248,6 +248,17 @@ def test_linear_holonomy_multiplier_minus_one():
     assert abs(res["fiber_end"] - u0 * cmath.exp(1j * math.pi)) < 1e-8
 
 
+@pytest.mark.parametrize("cycles", [1, 2, 3])
+def test_holonomy_compounds_over_repeated_cycles(cycles):
+    # uz system diag(-1, -3): each turn of the base loop multiplies the
+    # fiber by exp(2 pi i / 3); the march crosses the corner of the one-arc
+    # path between cycles
+    sys = linear_uz_system(-1.0, -3.0)
+    u0 = 0.01
+    res = continue_leaf(sys, Chart.UZ, TimePath.circle(0.0, 0.1, cycles=cycles), u0, TIGHT)
+    assert abs(res["fiber_end"] - u0 * cmath.exp(2j * math.pi * cycles / 3)) < 1e-12
+
+
 def test_equal_eigenvalue_holonomy_is_identity():
     sys = linear_uz_system(-1.5, -1.5)
     res = continue_leaf(sys, Chart.UZ, TimePath.circle(0.0, 0.1), 0.02, TIGHT)
@@ -283,6 +294,14 @@ def test_branch_point_on_the_path_underflows_in_the_blowup_chart():
     assert traj.terminated_reason == Termination.STEP_UNDERFLOW
     assert traj.end.chart == Chart.UZ
     assert abs(traj.end.t - 0.5) < 1e-9
+
+
+def test_start_on_the_line_at_infinity_underflows():
+    # the UZ chart divides by the Euler multiplier u^(m-1), which vanishes at
+    # u = 0: a stage that divides by zero is rejected like an infinite error
+    traj = integrate_path(riccati_system(), Chart.UZ, (0.0, 0.5), TimePath.from_points([0.0, 0.5]), TIGHT)
+    assert traj.terminated_reason == Termination.STEP_UNDERFLOW
+    assert len(traj.samples) == 1
 
 
 def test_leaf_continuation_through_a_base_zero_raises_tangency():
