@@ -14,7 +14,6 @@ from blowup.algebra import (
     ChartSystem,
     PlanarField,
     evaluate,
-    homogenize,
     jacobian,
     to_charts,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "ChartSystem",
     "PlanarField",
     "evaluate",
-    "homogenize",
     "jacobian",
     "to_charts",
 ]

@@ -16,15 +16,14 @@ from typing import Iterable, Mapping
 __all__ = [
     "PRUNE_TOL",
     "BivariatePolynomial",
-    "TrivariatePolynomial",
     "PlanarField",
     "ChartSystem",
     "Chart",
     "DegenerateFieldError",
     "evaluate",
     "to_charts",
-    "homogenize",
     "jacobian",
+    "solve_2x2",
     "chart_point",
 ]
 
@@ -161,27 +160,6 @@ class BivariatePolynomial:
 
 
 @dataclass(frozen=True)
-class TrivariatePolynomial:
-    """Sparse polynomial in three variables, used for homogenized fields."""
-
-    terms: dict[tuple[int, int, int], complex] = field(default_factory=dict)
-
-    def __post_init__(self):
-        cleaned = {e: complex(c) for e, c in self.terms.items() if abs(c) > PRUNE_TOL}
-        object.__setattr__(self, "terms", cleaned)
-
-    def __call__(self, xi: complex, eta: complex, zeta: complex) -> complex:
-        return sum(c * xi**a * eta**b * zeta**d for (a, b, d), c in self.terms.items())
-
-    @property
-    def degree(self) -> int:
-        return max((a + b + d for a, b, d in self.terms), default=0)
-
-    def is_homogeneous(self, m: int) -> bool:
-        return all(a + b + d == m for a, b, d in self.terms)
-
-
-@dataclass(frozen=True)
 class PlanarField:
     """Polynomial vector field (f, g) on C^2 with joint maximal degree m."""
 
@@ -284,32 +262,21 @@ def to_charts(fld: PlanarField) -> ChartSystem:
     return ChartSystem(xy_field=fld, uz_field=uz, vw_field=vw, euler_exponent=m - 1)
 
 
-def homogenize(fld: PlanarField) -> tuple[TrivariatePolynomial, TrivariatePolynomial, TrivariatePolynomial]:
-    """Lift (f, g) to the m-homogeneous triple on C^3.
-
-    Returns (F, G, H) with F = xi*zeta^(m-1) + zeta^m f(xi/zeta, eta/zeta),
-    G analogous for g, and H = zeta^m.  Each output is m-homogeneous, and
-    restriction to zeta = 1 recovers (xi + f, eta + g, 1).
-    """
-    m = fld.degree_m
-    f_terms: dict[tuple[int, int, int], complex] = {(1, 0, m - 1): 1.0}
-    for (j, k), c in fld.f.terms.items():
-        e = (j, k, m - j - k)
-        f_terms[e] = f_terms.get(e, 0.0) + c
-    g_terms: dict[tuple[int, int, int], complex] = {(0, 1, m - 1): 1.0}
-    for (j, k), c in fld.g.terms.items():
-        e = (j, k, m - j - k)
-        g_terms[e] = g_terms.get(e, 0.0) + c
-    h = TrivariatePolynomial({(0, 0, m): 1.0})
-    return TrivariatePolynomial(f_terms), TrivariatePolynomial(g_terms), h
-
-
 def jacobian(fld: PlanarField, x: complex, y: complex) -> tuple[tuple[complex, complex], tuple[complex, complex]]:
     """Exact 2x2 Jacobian of (f, g) at (x, y) by polynomial differentiation."""
     return (
         (evaluate(fld.f.partial_x(), x, y), evaluate(fld.f.partial_y(), x, y)),
         (evaluate(fld.g.partial_x(), x, y), evaluate(fld.g.partial_y(), x, y)),
     )
+
+
+def solve_2x2(
+    m: tuple[tuple[complex, complex], tuple[complex, complex]], rhs: tuple[complex, complex]
+) -> tuple[complex, complex]:
+    """Solve m . s = rhs by Cramer's rule; a singular m raises ZeroDivisionError."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    return (d * rhs[0] - b * rhs[1]) / det, (a * rhs[1] - c * rhs[0]) / det
 
 
 def chart_point(coords: tuple[complex, complex], from_chart: str, to_chart: str) -> tuple[complex, complex]:

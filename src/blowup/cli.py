@@ -9,10 +9,9 @@ byte-identical; SVG output carries a timestamp comment unless
 complex numbers as [re, im], tuples as lists, fractions as [num, den].
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, decided by
-one rule on the exception type: ``RuntimeError``, ``ArithmeticError`` and
-``numpy.linalg.LinAlgError`` are numerical failures, every other
-``ValueError`` or ``LookupError`` is bad input.  Errors go to stderr as
-single-line JSON.
+one rule on the exception type: ``RuntimeError`` and ``ArithmeticError``
+are numerical failures, every other ``ValueError`` or ``LookupError`` is bad
+input.  Errors go to stderr as single-line JSON.
 """
 
 from __future__ import annotations
@@ -26,8 +25,6 @@ import urllib.parse
 from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-
-import numpy as np
 
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.equilibria import (
@@ -236,8 +233,10 @@ def classified_equilibria(system) -> tuple:
     csys = to_charts(fld)
     recs = find_equilibria(csys, "All")
     recs = [classify_spectrum(csys, r) for r in recs]
+    # a total order on the location, so --eq indices never depend on the
+    # order in which the root finder returns a conjugate pair
     recs.sort(key=lambda r: (r.chart, round(r.location[1].real, 9), round(r.location[1].imag, 9),
-                             round(r.location[0].real, 9)))
+                             round(r.location[0].real, 9), round(r.location[0].imag, 9)))
     return csys, recs
 
 
@@ -682,7 +681,7 @@ def run_command(argv: list[str]) -> int:
         return 2 if err.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as err:
+    except (RuntimeError, ArithmeticError) as err:
         print(dump_json({"error": "numerical", "message": str(err)}), file=sys.stderr)
         return 3
     except (ValueError, LookupError) as err:

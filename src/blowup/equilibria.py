@@ -13,11 +13,11 @@ than nonresonant whenever rationality would change the verdict.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-
-import numpy as np
 
 from blowup.algebra import (
     BivariatePolynomial,
@@ -25,6 +25,7 @@ from blowup.algebra import (
     ChartSystem,
     PlanarField,
     jacobian,
+    solve_2x2,
 )
 
 __all__ = [
@@ -37,6 +38,11 @@ __all__ = [
     "rational_spectral_quotient",
     "small_divisor_scan",
 ]
+
+_EPS = sys.float_info.epsilon
+_ABERTH_CAP = 100
+_NEWTON_CAP = 60
+_MAX_SCAN_ORDER = 1000
 
 
 class DegenerateSystemError(ValueError):
@@ -81,13 +87,60 @@ class EquilibriumRecord:
 
 
 def _poly_roots(coeffs_low_to_high: list[complex]) -> list[complex]:
-    """Roots by companion matrix (numpy), low-order coefficients first."""
-    arr = np.array(coeffs_low_to_high, dtype=complex)
-    while arr.size and abs(arr[-1]) < 1e-300:
-        arr = arr[:-1]
-    if arr.size <= 1:
+    """Roots by Aberth-Ehrlich iteration, low-order coefficients first.
+
+    Exact zero roots are split off first.  The others start on a circle of
+    the roots' geometric-mean modulus and are updated one at a time (Bini,
+    "Numerical computation of polynomial zeros by means of Aberth's method",
+    Numer. Algorithms 13, 1996) until each correction is at roundoff relative
+    to its root, or the value drops below the rounding error of its Horner
+    evaluation, which is where a multiple root stops moving.  Outside the
+    unit disc the reversed polynomial is evaluated at 1/z, so no power of a
+    large root overflows.
+    """
+    c = [complex(v) for v in coeffs_low_to_high]
+    while c and abs(c[-1]) < 1e-300:
+        c.pop()
+    if len(c) <= 1:
         return []
-    return [complex(r) for r in np.roots(arr[::-1])]
+    zeros = next(k for k, v in enumerate(c) if v != 0)
+    c = c[zeros:]
+    n = len(c) - 1
+    if n == 0:
+        return [0j] * zeros
+    rev = c[::-1]
+    radius = abs(c[0] / c[-1]) ** (1.0 / n)
+    roots = [radius * cmath.exp(1j * (2.0 * math.pi * k / n + 0.4)) for k in range(n)]
+    active = set(range(n))
+    for _ in range(_ABERTH_CAP):
+        for i in sorted(active):
+            z = roots[i]
+            inside = abs(z) <= 1.0
+            val, der, bound = _horner(c, z) if inside else _horner(rev, 1.0 / z)
+            if abs(val) <= 4.0 * _EPS * bound:
+                active.discard(i)
+                continue
+            ratio = der / val if inside else (n - der / (val * z)) / z  # p'(z) / p(z)
+            denom = ratio - sum(1.0 / (z - other) for other in roots if other != z)
+            step = 1.0 / denom if denom else math.inf
+            if not cmath.isfinite(step):
+                continue
+            roots[i] = z - step
+            if abs(step) <= _EPS * abs(roots[i]):
+                active.discard(i)
+        if not active:
+            break
+    return [0j] * zeros + roots
+
+
+def _horner(c: list[complex], z: complex) -> tuple[complex, complex, float]:
+    """p(z), p'(z), and the rounding-error scale sum |c_k| |z|^k of p(z)."""
+    val, der, bound, az = 0j, 0j, 0.0, abs(z)
+    for v in reversed(c):
+        der = der * z + val
+        val = val * z + v
+        bound = bound * az + abs(v)
+    return val, der, bound
 
 
 def _restrict_first_zero(p: BivariatePolynomial) -> list[complex]:
@@ -100,27 +153,48 @@ def _restrict_first_zero(p: BivariatePolynomial) -> list[complex]:
     return coeffs
 
 
-def _newton_polish_1d(coeffs: list[complex], root: complex, steps: int = 3) -> complex:
-    dcoeffs = [k * c for k, c in enumerate(coeffs)][1:]
+def _newton_polish_1d(coeffs: list[complex], root: complex, steps: int = _NEWTON_CAP) -> complex:
+    """Newton's method on a univariate polynomial until the step is at roundoff.
+
+    The last step is evaluated in exact rational arithmetic and rounded once:
+    from within a few ulps of a simple root it lands on the double nearest to
+    the root, which floating-point steps reach only by chance.
+    """
     for _ in range(steps):
-        val = sum(c * root**k for k, c in enumerate(coeffs))
-        der = sum(c * root**k for k, c in enumerate(dcoeffs))
-        if abs(der) < 1e-300:
+        val, der, _ = _horner(coeffs, root)
+        step = val / der if der else math.inf
+        if not cmath.isfinite(step):
             break
-        root = root - val / der
-    return root
+        root -= step
+        if abs(step) <= _EPS * abs(root):
+            break
+    x, y = Fraction(root.real), Fraction(root.imag)
+    vr = vi = dr = di = Fraction(0)
+    for c in reversed(coeffs):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + Fraction(c.real), vr * y + vi * x + Fraction(c.imag)
+    norm = dr * dr + di * di  # p / p' = p conj(p') / |p'|^2
+    if not norm:
+        return root
+    return complex(float(x - (vr * dr + vi * di) / norm), float(y - (vi * dr - vr * di) / norm))
 
 
-def _newton_polish_2d(fld: PlanarField, pt: tuple[complex, complex], steps: int = 4) -> tuple[complex, complex]:
+def _newton_polish_2d(fld: PlanarField, pt: tuple[complex, complex], steps: int = _NEWTON_CAP) -> tuple[complex, complex]:
+    """Newton's method on f = g = 0 until the step is at roundoff.
+
+    A singular Jacobian, or a step that overflows, stops the polish where it is.
+    """
     x, y = pt
     for _ in range(steps):
-        fx, fy = fld(x, y)
-        J = np.array(jacobian(fld, x, y), dtype=complex)
         try:
-            dx, dy = np.linalg.solve(J, np.array([fx, fy]))
-        except np.linalg.LinAlgError:
+            dx, dy = solve_2x2(jacobian(fld, x, y), fld(x, y))
+        except ZeroDivisionError:
+            break
+        if not (cmath.isfinite(dx) and cmath.isfinite(dy)):
             break
         x, y = x - dx, y - dy
+        if max(abs(dx), abs(dy)) <= _EPS * max(abs(x), abs(y)):
+            break
     return x, y
 
 
@@ -178,67 +252,85 @@ def _matches_any(value: complex, pool: list[complex], tol: float = 1e-8) -> bool
     return any(abs(value - q) <= tol * max(1.0, abs(q)) for q in pool)
 
 
-def _resultant_coeffs(f: BivariatePolynomial, g: BivariatePolynomial) -> np.ndarray:
+def _resultant_coeffs(f: BivariatePolynomial, g: BivariatePolynomial) -> list[complex]:
     """Coefficients (low to high) of Res_y(f, g) as a polynomial in x.
 
-    Computed by evaluation at Chebyshev-like sample points and interpolation;
-    the degree never exceeds deg(f)*deg(g) at desk scale.
+    Res_y is sampled at x_k = 1.07 w^k, w = exp(2 pi i / n), with n above the
+    degree bound deg(f) * deg(g); interpolating at scaled roots of unity is an
+    inverse DFT, divided by 1.07^j for coefficient j.  Coefficients within
+    the rounding error of that sum, n eps max|c|, are zero: above the true
+    degree they would only add roots near infinity, and below a root at
+    x = 0 they would split it into a cluster.
     """
-    deg_bound = f.degree * g.degree + 1
-    n = deg_bound + 1
-    xs = np.exp(2j * np.pi * np.arange(n) / n) * 1.07  # roots of unity, scaled
-    vals = np.empty(n, dtype=complex)
-    for i, x0 in enumerate(xs):
-        fy = _coeffs_in_y_at(f, x0)
-        gy = _coeffs_in_y_at(g, x0)
-        vals[i] = _sylvester_det(fy, gy)
-    V = np.vander(xs, n, increasing=True)
-    return np.linalg.solve(V, vals)
+    n = f.degree * g.degree + 2
+    unit = [cmath.exp(2j * math.pi * k / n) for k in range(n)]
+    vals = [_sylvester_det(_coeffs_in_y_at(f, 1.07 * w), _coeffs_in_y_at(g, 1.07 * w)) for w in unit]
+    coeffs = [sum(v * unit[-j * k % n] for k, v in enumerate(vals)) / (n * 1.07**j) for j in range(n)]
+    noise = n * _EPS * max(abs(c) for c in coeffs)
+    return [c if abs(c) > noise else 0j for c in coeffs]
 
 
-def _coeffs_in_y_at(p: BivariatePolynomial, x0: complex) -> np.ndarray:
+def _coeffs_in_y_at(p: BivariatePolynomial, x0: complex) -> list[complex]:
     deg = max((k for _, k in p.terms), default=0)
-    out = np.zeros(deg + 1, dtype=complex)
+    out = [0j] * (deg + 1)
     for (j, k), c in p.terms.items():
         out[k] += c * x0**j
     return out
 
 
-def _sylvester_det(a: np.ndarray, b: np.ndarray) -> complex:
-    """Resultant of two univariate polynomials given low-to-high coefficients."""
-    a = np.trim_zeros(a, "b")
-    b = np.trim_zeros(b, "b")
-    if a.size == 0 or b.size == 0:
-        return 0.0
-    m, n = a.size - 1, b.size - 1
-    if m == 0 and n == 0:
-        return 1.0
+def _sylvester_det(a: list[complex], b: list[complex]) -> complex:
+    """Resultant of two univariate polynomials given low-to-high coefficients.
+
+    The Sylvester determinant, by Gaussian elimination with partial pivoting.
+    """
+    while a and a[-1] == 0:
+        a = a[:-1]
+    while b and b[-1] == 0:
+        b = b[:-1]
+    if not a or not b:
+        return 0j
+    m, n = len(a) - 1, len(b) - 1
     if m == 0:
         return a[0] ** n
     if n == 0:
         return b[0] ** m
-    S = np.zeros((m + n, m + n), dtype=complex)
+    size = m + n
+    S = [[0j] * size for _ in range(size)]
     for i in range(n):
-        S[i, i : i + m + 1] = a[::-1]
+        S[i][i : i + m + 1] = a[::-1]
     for i in range(m):
-        S[n + i, i : i + n + 1] = b[::-1]
-    return complex(np.linalg.det(S))
+        S[n + i][i : i + n + 1] = b[::-1]
+    det = 1 + 0j
+    for col in range(size):
+        piv = max(range(col, size), key=lambda r: abs(S[r][col]))
+        if S[piv][col] == 0:
+            return 0j
+        if piv != col:
+            S[col], S[piv] = S[piv], S[col]
+            det = -det
+        top = S[col]
+        det *= top[col]
+        for row in S[col + 1 :]:
+            factor = row[col] / top[col]
+            for k in range(col + 1, size):
+                row[k] -= factor * top[k]
+    return det
 
 
 def _finite_equilibria(fld: PlanarField) -> list[EquilibriumRecord]:
     if fld.f.is_zero or fld.g.is_zero:
         raise DegenerateSystemError("a field component vanishes identically; equilibria are not isolated")
     res = _resultant_coeffs(fld.f, fld.g)
-    if np.max(np.abs(res)) < 1e-12:
+    if max(abs(c) for c in res) < 1e-12:
         raise DegenerateSystemError("resultant vanishes identically; f and g share a curve of zeros")
-    x_roots = _dedupe(_poly_roots(list(res)))
+    x_roots = _dedupe(_poly_roots(res))
     records: list[EquilibriumRecord] = []
     found: list[tuple[complex, complex]] = []
     for x0 in x_roots:
         fy = _coeffs_in_y_at(fld.f, x0)
         gy = _coeffs_in_y_at(fld.g, x0)
-        y_candidates = _poly_roots(list(fy)) + _poly_roots(list(gy))
-        if not y_candidates and fy.size == 1 and gy.size == 1:
+        y_candidates = _poly_roots(fy) + _poly_roots(gy)
+        if not y_candidates and len(fy) == 1 and len(gy) == 1:
             continue
         for y0 in _dedupe(y_candidates, tol=1e-6):
             x1, y1 = _newton_polish_2d(fld, (x0, y0))
@@ -283,20 +375,23 @@ def rational_spectral_quotient(lam: float, tol: float, denominator_bound: int) -
     return None
 
 
-def _eigen_2x2(J: np.ndarray) -> tuple[complex, complex]:
+def _eigen_2x2(J: tuple[tuple[complex, complex], tuple[complex, complex]]) -> tuple[complex, complex]:
     """Eigenvalues ordered so the first belongs to the chart's first axis.
 
     For triangular Jacobians (every infinity equilibrium) the diagonal order
     is kept: the first eigenvalue drives the blow-up fiber coordinate.  For
-    full matrices the numpy order is normalized lexicographically.
+    full matrices the larger root is tr/2 +- sqrt(((a - d)/2)^2 + bc), the
+    other det / larger (no cancellation), and the pair is ordered
+    lexicographically.
     """
-    if abs(J[0, 1]) < 1e-13 * max(1.0, float(np.max(np.abs(J)))):
-        return complex(J[0, 0]), complex(J[1, 1])
-    if abs(J[1, 0]) < 1e-13 * max(1.0, float(np.max(np.abs(J)))):
-        return complex(J[0, 0]), complex(J[1, 1])
-    vals = np.linalg.eigvals(J)
-    vals = sorted(vals, key=lambda v: (round(v.real, 12), round(v.imag, 12)))
-    return complex(vals[0]), complex(vals[1])
+    (a, b), (c, d) = J
+    size = max(1.0, abs(a), abs(b), abs(c), abs(d))
+    if abs(b) < 1e-13 * size or abs(c) < 1e-13 * size:
+        return a, d
+    half, root = (a + d) / 2, cmath.sqrt(((a - d) / 2) ** 2 + b * c)
+    big = half + root if abs(half + root) >= abs(half - root) else half - root
+    other = (a * d - b * c) / big if big else 0j
+    return tuple(sorted((big, other), key=lambda v: (round(v.real, 12), round(v.imag, 12))))
 
 
 def classify_spectrum(
@@ -309,7 +404,8 @@ def classify_spectrum(
 
     Domain: Poincare when the segment [l1, l2] stays a distance
     tol*max|l_i| away from 0, Siegel otherwise, Degenerate when an
-    eigenvalue is that small itself.  Resonance for real quotients follows
+    eigenvalue is below tol times the larger of max|l_i| and the chart
+    field's largest coefficient.  Resonance for real quotients follows
     the node rule (resonant iff the quotient or its reciprocal is an integer
     >= 2) on the Poincare side and the saddle rule (every rational quotient
     resonant) on the Siegel side; the saddle rule is a convention choice for
@@ -320,26 +416,18 @@ def classify_spectrum(
     res = fld(x0, y0)
     if max(abs(res[0]), abs(res[1])) > 1e-10:
         raise ValueError(f"location residual {max(abs(res[0]), abs(res[1])):.3g} too large")
-    J = np.array(jacobian(fld, x0, y0), dtype=complex)
+    J = jacobian(fld, x0, y0)
     l1, l2 = _eigen_2x2(J)
-    scale = max(abs(l1), abs(l2))
+    # eigenvalues that are roundoff next to the field's own coefficients are
+    # zero: semisimplicity and degeneracy are measured against both
+    scale = max(abs(l1), abs(l2), *(abs(c) for p in (fld.f, fld.g) for c in p.terms.values()))
     notes: list[str] = []
-    if scale == 0.0:
-        return replace(
-            eq,
-            eigenvalues=(l1, l2),
-            spectral_quotient=None,
-            semisimple=bool(np.max(np.abs(J)) < 1e-13),
-            domain=Domain.DEGENERATE,
-            resonance=Resonance.indeterminate(),
-            notes=tuple(notes),
-        )
     # semisimplicity: distinct eigenvalues always; equal ones need J ~ scalar
     if abs(l1 - l2) > 1e-10 * scale:
         semisimple = True
     else:
-        off = max(abs(J[0, 1]), abs(J[1, 0]), abs(J[0, 0] - J[1, 1]))
-        semisimple = bool(off < 1e-10 * scale)
+        (j00, j01), (j10, j11) = J
+        semisimple = max(abs(j01), abs(j10), abs(j00 - j11)) < 1e-10 * scale
     if min(abs(l1), abs(l2)) < tol * scale:
         domain = Domain.DEGENERATE
         return replace(
@@ -353,7 +441,7 @@ def classify_spectrum(
         )
     lam = l1 / l2
     seg_dist = _segment_distance_to_zero(l1, l2)
-    domain = Domain.POINCARE if seg_dist > tol * scale else Domain.SIEGEL
+    domain = Domain.POINCARE if seg_dist > tol * max(abs(l1), abs(l2)) else Domain.SIEGEL
     rational: tuple[int, int] | None = None
     if abs(lam.imag) > tol * max(1.0, abs(lam)):
         resonance = Resonance.nonresonant()
@@ -397,8 +485,11 @@ def small_divisor_scan(eigenvalues: tuple[complex, complex], max_order: int = 50
 
     Returns one row per order with the minimal divisor magnitude and its
     multi-index; a numerical survey of the small-divisor behaviour, never a
-    proof of any Diophantine condition.
+    proof of any Diophantine condition.  The scan is quadratic in
+    ``max_order``, so orders above 1000 are refused.
     """
+    if max_order > _MAX_SCAN_ORDER:
+        raise ValueError(f"max_order {max_order} exceeds {_MAX_SCAN_ORDER}; the scan is quadratic in it")
     l1, l2 = eigenvalues
     rows = []
     for order in range(2, max_order + 1):

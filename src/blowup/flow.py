@@ -3,10 +3,7 @@
 Paths live in the plane of *original* time t.  Inside a blow-up chart the
 polynomial field is divided pointwise by the Euler multiplier u^(m-1)
 (resp. v^(m-1)), which is exactly the time transform dt = u^(m-1) dt1; this
-keeps a single global clock while the state may hop between charts.  A
-separate entry point integrates a chart system in its *own* rescaled time and
-accumulates original time as an augmented variable, which is the natural
-parametrization when relaxing onto a blow-up equilibrium.
+keeps a single global clock while the state may hop between charts.
 
 The stepper is the embedded Dormand-Prince 5(4) pair (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4-II.5) with PI step-size control, on a state
@@ -14,9 +11,9 @@ that is a tuple of Python ``complex`` throughout.  A step's error is the RMS
 over complex components of |err| / (abs_tol + rel_tol * max(|y|, |y_new|)),
 per unit step; a stage that divides by zero or overflows counts as infinite.
 
-All three integrators march through ``_march(path, y0, cfg, rhs, on_step)``,
-the only loop that takes steps: it evaluates the stages and runs the step
-controller itself.  It walks the path one segment at a time, because corners
+Both integrators, ``integrate_path`` and ``continue_leaf``, march through
+``_march(path, y0, cfg, rhs, on_step)``, the only loop that takes steps: it
+evaluates the stages and runs the step controller itself.  It walks the path one segment at a time, because corners
 are derivative jumps: segment ``floor(s + 1e-9)`` runs up to its end, and the
 step controller starts afresh at every corner.  Inside a segment both callbacks
 see the global parameter ``s``, the state ``y``, the active segment and its
@@ -56,7 +53,6 @@ __all__ = [
     "TooCoarseError",
     "SectionTangencyError",
     "integrate_path",
-    "integrate_chart_time",
     "winding_number",
     "continue_leaf",
 ]
@@ -415,42 +411,6 @@ def integrate_path(
             # a chart holding the state below this bound would have won above
             return Termination.DIVERGED
         return None
-
-    try:
-        reason = _march(path, state, cfg, rhs, on_step)
-    except StepUnderflowError:
-        reason = Termination.STEP_UNDERFLOW
-    return Trajectory(tuple(samples), reason)
-
-
-def integrate_chart_time(
-    system: ChartSystem,
-    chart: str,
-    start_coords: tuple[complex, complex],
-    path: TimePath,
-    cfg: IntegrationConfig | None = None,
-    t_start: complex = 0.0,
-) -> Trajectory:
-    """Integrate one chart system along a path in its *own* rescaled time.
-
-    Original time is accumulated alongside the state through dt = rho dt1
-    using the same Runge-Kutta stages (augmented system), so the recorded
-    ``t`` carries the integrator's order of accuracy.  No chart switching:
-    the caller asked for dynamics of this chart specifically.
-    """
-    cfg = cfg or IntegrationConfig()
-    fld = system.field(chart)
-    state = (complex(start_coords[0]), complex(start_coords[1]), complex(t_start))
-    samples = [TrajectorySample(0.0, state[2], chart, state[:2])]
-
-    def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
-        tau_dot = seg.velocity(sigma)
-        da, db = fld(y[0], y[1])
-        rho = system.euler_multiplier(chart, y)
-        return da * tau_dot, db * tau_dot, rho * tau_dot
-
-    def on_step(s: float, y: State, seg: Segment, sigma: float) -> None:
-        samples.append(TrajectorySample(s, y[2], chart, y[:2]))
 
     try:
         reason = _march(path, state, cfg, rhs, on_step)

@@ -26,8 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField
 from blowup.flow import Trajectory, winding_number
 
@@ -221,5 +219,5 @@ def _newton_track(relation, rel_v, v_guess, w):
 def _fit_center(samples: list[complex]) -> complex:
     """Blow-up time as the limit point of the loop: the traced t-values orbit
     the (finite) blow-up time; its position is the mean of a closed loop."""
-    arr = np.asarray(samples[:-1], dtype=complex)
-    return complex(arr.mean())
+    loop = samples[:-1]
+    return sum(loop) / len(loop)

@@ -26,8 +26,6 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from blowup.algebra import Chart, ChartSystem, chart_point
 from blowup.equilibria import EquilibriumRecord
 from blowup.flow import (
@@ -133,7 +131,11 @@ def _fit_blowup_time(
     eq: EquilibriumRecord,
     fit_samples: int = 20,
 ) -> tuple[complex, complex]:
-    """Least squares (T, C) in t = T + C u^(m-1) over the approach tail."""
+    """Least squares (T, C) in t = T + C u^(m-1) over the approach tail.
+
+    Centring t and p = u^(m-1) on their means removes T, which leaves the
+    one-column fit C = sum conj(dp) dt / sum |dp|^2.
+    """
     m1 = max(system.euler_exponent, 1)
     tail = approach.samples[-fit_samples:]
     ts, us = [], []
@@ -146,9 +148,13 @@ def _fit_blowup_time(
         us.append(here[0] - eq.location[0])
     if len(ts) < 3:
         raise DetourError("approach too short to fit the blow-up time")
-    A = np.column_stack([np.ones(len(ts)), np.array(us, dtype=complex) ** m1])
-    sol, *_ = np.linalg.lstsq(A, np.array(ts, dtype=complex), rcond=None)
-    return complex(sol[0]), complex(sol[1])
+    ps = [u**m1 for u in us]
+    t_mean, p_mean = sum(ts) / len(ts), sum(ps) / len(ps)
+    spread = sum(abs(p - p_mean) ** 2 for p in ps)
+    if spread == 0:
+        raise DetourError("approach tail does not move toward the blow-up point")
+    C = sum((p - p_mean).conjugate() * (t - t_mean) for p, t in zip(ps, ts)) / spread
+    return t_mean - C * p_mean, C
 
 
 def masuda_detour(

@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import random
 from dataclasses import dataclass
 
-import numpy as np
-
-from blowup.algebra import BivariatePolynomial, ChartSystem, jacobian
+from blowup.algebra import BivariatePolynomial, ChartSystem, jacobian, solve_2x2
 from blowup.equilibria import EquilibriumRecord, small_divisor_scan
 
 __all__ = [
@@ -84,24 +83,10 @@ class TruncatedTransform:
 
     def to_straightened(self, point: tuple[complex, complex]) -> tuple[complex, complex]:
         """Chart point -> straightened coordinates (inverse transform)."""
-        a = point[0] - self.offset[0]
-        b = point[1] - self.offset[1]
-        (m00, m01), (m10, m11) = self.linear_map
-        det = m00 * m11 - m01 * m10
-        loc = ((m11 * a - m01 * b) / det, (-m10 * a + m00 * b) / det)
+        loc = solve_2x2(self.linear_map, (point[0] - self.offset[0], point[1] - self.offset[1]))
         return (
             self.inverse_components[0](loc[0], loc[1]),
             self.inverse_components[1](loc[0], loc[1]),
-        )
-
-    def from_straightened(self, point: tuple[complex, complex]) -> tuple[complex, complex]:
-        """Straightened coordinates -> chart point."""
-        a = self.components[0](point[0], point[1])
-        b = self.components[1](point[0], point[1])
-        (m00, m01), (m10, m11) = self.linear_map
-        return (
-            self.offset[0] + m00 * a + m01 * b,
-            self.offset[1] + m10 * a + m11 * b,
         )
 
 
@@ -117,36 +102,30 @@ def _localized_field(
     """
     fld = system.field(eq.chart)
     x0, y0 = eq.location
-    J = np.array(jacobian(fld, x0, y0), dtype=complex)
-    scale = float(np.max(np.abs(J)))
+    (j00, j01), (j10, j11) = jacobian(fld, x0, y0)
+    scale = max(abs(j00), abs(j01), abs(j10), abs(j11))
     l1, l2 = eq.eigenvalues
     if abs(l1 - l2) < 1e-10 * max(abs(l1), abs(l2), 1.0):
-        off = max(abs(J[0, 1]), abs(J[1, 0]), abs(J[0, 0] - J[1, 1]))
-        if off > 1e-10 * scale:
+        if max(abs(j01), abs(j10), abs(j00 - j11)) > 1e-10 * scale:
             raise NotSemisimpleError("equal eigenvalues with a nontrivial Jordan block")
-        V = np.eye(2, dtype=complex)
-    elif abs(J[0, 1]) < 1e-12 * scale:
+        V = ((1.0, 0.0), (0.0, 1.0))
+    elif abs(j01) < 1e-12 * scale:
         # lower triangular: eigenvector of l1 is (1, xi), of l2 is (0, 1)
-        xi = J[1, 0] / (l1 - l2)
-        V = np.array([[1.0, 0.0], [xi, 1.0]], dtype=complex)
-    elif abs(J[1, 0]) < 1e-12 * scale:
-        xi = J[0, 1] / (l2 - l1)
-        V = np.array([[1.0, xi], [0.0, 1.0]], dtype=complex)
-    else:
-        vals, vecs = np.linalg.eig(J)
-        # order columns to match (l1, l2)
-        if abs(vals[0] - l1) > abs(vals[1] - l1):
-            vecs = vecs[:, ::-1]
-        V = vecs / np.diag(vecs).reshape(1, 2)  # normalize diagonal to 1 where possible
-    Vinv = np.linalg.inv(V)
+        V = ((1.0, 0.0), (j10 / (l1 - l2), 1.0))
+    elif abs(j10) < 1e-12 * scale:
+        V = ((1.0, j01 / (l2 - l1)), (0.0, 1.0))
+    else:  # eigenvector columns scaled to a unit diagonal
+        V = ((1.0, j01 / (l2 - j00)), ((l1 - j00) / j01, 1.0))
+    (v00, v01), (v10, v11) = V
+    det = v00 * v11 - v01 * v10
     shifted = (fld.f.shifted(x0, y0), fld.g.shifted(x0, y0))
     # new coordinates s: local = V s; field_s = V^{-1} field(V s)
-    s1 = BivariatePolynomial({(1, 0): complex(V[0, 0]), (0, 1): complex(V[0, 1])})
-    s2 = BivariatePolynomial({(1, 0): complex(V[1, 0]), (0, 1): complex(V[1, 1])})
+    s1 = BivariatePolynomial({(1, 0): v00, (0, 1): v01})
+    s2 = BivariatePolynomial({(1, 0): v10, (0, 1): v11})
     comp = [shifted[0].compose(s1, s2), shifted[1].compose(s1, s2)]
-    out1 = comp[0].scaled(complex(Vinv[0, 0])) + comp[1].scaled(complex(Vinv[0, 1]))
-    out2 = comp[0].scaled(complex(Vinv[1, 0])) + comp[1].scaled(complex(Vinv[1, 1]))
-    return (out1, out2), (l1, l2), ((complex(V[0, 0]), complex(V[0, 1])), (complex(V[1, 0]), complex(V[1, 1])))
+    out1 = comp[0].scaled(v11 / det) + comp[1].scaled(-v01 / det)
+    out2 = comp[0].scaled(-v10 / det) + comp[1].scaled(v00 / det)
+    return (out1, out2), (l1, l2), tuple(tuple(complex(v) for v in row) for row in V)
 
 
 def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int = 8) -> TruncatedTransform:
@@ -254,22 +233,20 @@ def conjugacy_residual(
     radii = (ball_radius, ball_radius / 2.0, ball_radius / 4.0)
     l1, l2 = transform.eigenvalues
     local, _, _ = _localized_field(system, eq)
-    rng = np.random.default_rng(_RESIDUAL_SEED)
-    angles = rng.uniform(0.0, 2.0 * math.pi, size=(_RESIDUAL_SAMPLES, 2))
-    scales = rng.uniform(0.5, 1.0, size=_RESIDUAL_SAMPLES)
+    rng = random.Random(_RESIDUAL_SEED)
+    samples = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.0))
+               for _ in range(_RESIDUAL_SAMPLES)]
     psi = transform.components
     dpsi = ((psi[0].partial_x(), psi[0].partial_y()), (psi[1].partial_x(), psi[1].partial_y()))
     maxima = []
     for r in radii:
         worst = 0.0
-        for (a1, a2), sc in zip(angles, scales):
+        for a1, a2, sc in samples:
             pt = (r * sc * cmath.exp(1j * a1), r * sc * cmath.exp(1j * a2))
             img = (psi[0](pt[0], pt[1]), psi[1](pt[0], pt[1]))
-            vec = np.array([local[0](img[0], img[1]), local[1](img[0], img[1])])
-            Dpsi = np.array([[d(pt[0], pt[1]) for d in row] for row in dpsi], dtype=complex)
-            pulled = np.linalg.solve(Dpsi, vec)
-            gap = pulled - np.array([l1 * pt[0], l2 * pt[1]])
-            worst = max(worst, float(np.max(np.abs(gap))))
+            vec = (local[0](img[0], img[1]), local[1](img[0], img[1]))
+            pulled = solve_2x2([[d(pt[0], pt[1]) for d in row] for row in dpsi], vec)
+            worst = max(worst, abs(pulled[0] - l1 * pt[0]), abs(pulled[1] - l2 * pt[1]))
         maxima.append(worst)
     if max(maxima) < _ROUNDOFF_FLOOR:
         slope = float("inf")

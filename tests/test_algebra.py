@@ -8,7 +8,6 @@ from blowup.algebra import (
     PlanarField,
     chart_point,
     evaluate,
-    homogenize,
     jacobian,
     to_charts,
 )
@@ -127,40 +126,6 @@ def test_to_charts_is_linear_in_the_field():
             p = getattr(sys.field(chart), name)
             q = getattr(sys_scaled.field(chart), name)
             assert q.terms == pytest.approx({jk: c * v for jk, v in p.terms.items()})
-
-
-def test_homogenize_hand_example():
-    # f = x^2, g = 0-as-(-y) dummy is not needed: use g = y to keep it simple.
-    # For f = x^2, g = y, m = 2: F = xi*zeta + xi^2, G = eta*zeta + eta*zeta = ...
-    # Stick to the pure hand case f = x^2, g = y:
-    fld = PlanarField(P([(2, 0, 1.0)]), P([(0, 1, 1.0)]))
-    F, G, H = homogenize(fld)
-    assert F.terms == pytest.approx({(1, 0, 1): 1.0, (2, 0, 0): 1.0})
-    # G = eta*zeta^(m-1) + zeta^m * (eta/zeta) = 2 eta zeta
-    assert G.terms == pytest.approx({(0, 1, 1): 2.0})
-    assert H.terms == pytest.approx({(0, 0, 2): 1.0})
-
-
-def test_homogenize_scaling_identity():
-    # F(sigma X) = sigma^m F(X) at random points.
-    rng = np.random.default_rng(11)
-    fld = caricature_field(2.0)
-    m = fld.degree_m
-    F, G, H = homogenize(fld)
-    for _ in range(10):
-        pt = rng.normal(size=3) + 1j * rng.normal(size=3)
-        sigma = complex(rng.normal(), rng.normal())
-        for T in (F, G, H):
-            lhs = T(*(sigma * pt))
-            rhs = sigma**m * T(*pt)
-            assert lhs == pytest.approx(rhs, abs=1e-12 * max(1.0, abs(rhs)))
-
-
-def test_homogenize_linear_field_has_no_correction_factor():
-    fld = PlanarField(P([(1, 0, 2.0), (0, 1, 1.0)]), P([(0, 1, -3.0)]))
-    F, G, H = homogenize(fld)
-    assert H.terms == pytest.approx({(0, 0, 1): 1.0})
-    assert F.is_homogeneous(1) and G.is_homogeneous(1)
 
 
 def test_jacobian_diagonal_linear():

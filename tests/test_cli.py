@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +33,8 @@ def _error_line(capsys) -> dict:
     pytest.param(["classify", "catalog:homogeneous?gx=1"], id="classify-homogeneous-gx-one"),
     pytest.param(["trees", "--max-m", "31"], id="trees-out-of-range"),
     pytest.param(["linearize", "catalog:galerkin_symmetric", "--eq", "0", "--order", "20"], id="order-too-high"),
+    pytest.param(["classify", "catalog:golden_node", "--small-divisors", "--small-divisor-order", "100000000"],
+                 id="small-divisor-order-too-high"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
 ])
@@ -137,3 +142,10 @@ def test_every_report_is_strict_json_and_matches_its_schema(capsys):
         doc = json.loads(capsys.readouterr().out, parse_constant=_refuse)
         errors = [e.message for e in validators[schema].iter_errors(doc)]
         assert not errors, (argv, errors)
+
+
+def test_cli_import_does_not_load_numpy():
+    # the package runs on the standard library alone; numpy is a test reference
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = "import blowup.cli, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})

@@ -8,11 +8,14 @@ from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.equilibria import (
     DegenerateSystemError,
     Domain,
+    EquilibriumRecord,
+    _poly_roots,
     classify_spectrum,
     find_equilibria,
     rational_spectral_quotient,
     small_divisor_scan,
 )
+from blowup.scenarios import catalog_get
 
 P = BivariatePolynomial.from_coeffs
 
@@ -77,6 +80,58 @@ def test_residuals_are_polished():
         fld = sys.field(rec.chart)
         r = fld(*rec.location)
         assert max(abs(r[0]), abs(r[1])) < 1e-12
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_poly_roots_match_numpy(degree):
+    rng = np.random.default_rng(degree)
+    for _ in range(5):
+        coeffs = list(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+        got = _poly_roots(coeffs)
+        assert len(got) == degree
+        for want in np.roots(coeffs[::-1]):
+            nearest = min(got, key=lambda r: abs(r - want))
+            assert abs(nearest - want) <= 1e-10 * abs(want)
+            got.remove(nearest)
+
+
+def test_poly_roots_split_off_exact_zeros():
+    # x^3 (x - 1), low-order coefficients first
+    roots = sorted(_poly_roots([0.0, 0.0, 0.0, -1.0, 1.0]), key=abs)
+    assert roots[:3] == [0j, 0j, 0j]
+    assert abs(roots[3] - 1.0) < 1e-15
+    assert _poly_roots([3.0]) == []
+    assert _poly_roots([2.0, 0.0]) == []
+
+
+@pytest.mark.parametrize("name, params, n_xy", [
+    pytest.param("scalar_poly", {"m": 2}, 1, id="scalar_poly-double-root"),
+    pytest.param("galerkin_asymmetric", {}, 3, id="galerkin_asymmetric-split-origin"),
+    *(pytest.param("homogeneous", {"gx": 3.0, "fy": fy}, 1, id=f"homogeneous-gx3-fy{fy}") for fy in (0.3, 0.5, 1.0)),
+])
+def test_multiple_finite_root_is_one_degenerate_origin(name, params, n_xy):
+    # Each field vanishes to second order at the origin in some direction, so
+    # the resultant has a multiple root there.  It must come out as one
+    # equilibrium at the origin, not as a cluster of nearby points, and its
+    # zero eigenvalue must make it degenerate.
+    sys = to_charts(catalog_get(name, params).system)
+    recs = [classify_spectrum(sys, r) for r in find_equilibria(sys, "All")]
+    xy = [r for r in recs if r.chart == Chart.XY]
+    assert len(xy) == n_xy
+    origin = [r for r in xy if max(abs(c) for c in r.location) < 1e-12]
+    assert len(origin) == 1
+    assert origin[0].domain == Domain.DEGENERATE
+    assert origin[0].semisimple is True
+
+
+def test_roundoff_spectrum_is_degenerate():
+    # A Jacobian of roundoff size next to a multiple equilibrium has
+    # eigenvalues that are zero next to the field's coefficients, however
+    # they compare with each other.
+    sys = to_charts(catalog_get("homogeneous", {"gx": 3.0, "fy": 0.5}).system)
+    rec = classify_spectrum(sys, EquilibriumRecord(Chart.XY, (1e-22 + 0j, 1e-22 + 0j)))
+    assert rec.domain == Domain.DEGENERATE
+    assert rec.semisimple is True
 
 
 def test_degenerate_system_raises():

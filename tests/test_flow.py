@@ -16,7 +16,6 @@ from blowup.flow import (
     TimePath,
     TooCoarseError,
     continue_leaf,
-    integrate_chart_time,
     integrate_path,
     winding_number,
 )
@@ -177,27 +176,6 @@ def test_reversibility():
     back = integrate_path(sys, fwd.end.chart, fwd.end.coords, TimePath.from_points(pts), TIGHT)
     # back path re-parametrizes t but the field is autonomous: shift to 0-based
     assert np.max(np.abs(np.array(back.end.coords) - np.array(start))) < 1e-8
-
-
-def test_leaf_invariance_under_euler_multiplier():
-    # Integrate the caricature's uz system in its own time t1 (accumulating t)
-    # and check the xy-chart integration visits the same states at the same
-    # original times.
-    a = 2.0
-    fld = PlanarField(P([(2, 0, 1.0), (0, 2, a / 4.0)]), P([(0, 1, -1.0), (1, 1, a)]))
-    sys = to_charts(fld)
-    u0, z0 = 0.8 + 0.1j, 0.4 - 0.2j
-    chart_traj = integrate_chart_time(sys, Chart.UZ, (u0, z0), TimePath.from_points([0.0, 0.3 + 0.1j]), TIGHT)
-    x0, y0 = 1.0 / u0, z0 / u0
-    for smp in chart_traj.samples[::5]:
-        t = smp.t
-        if abs(t) < 1e-12:
-            continue
-        xy = integrate_path(sys, Chart.XY, (x0, y0), TimePath.from_points([0.0, t]), TIGHT)
-        u_t, z_t = smp.coords
-        got = np.array(xy.end.coords)
-        want = np.array([1.0 / u_t, z_t / u_t])
-        assert np.max(np.abs(got - want)) < 1e-7 * max(1.0, float(np.max(np.abs(want))))
 
 
 # ---------------------------------------------------------- winding_number
