@@ -11,7 +11,7 @@ inflate the degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable
 
 __all__ = [
     "PRUNE_TOL",
@@ -34,8 +34,10 @@ class DegenerateFieldError(ValueError):
     """Raised when an identically-zero field is handed to a chart transform."""
 
 
-def _pruned(terms: Mapping[tuple[int, int], complex]) -> dict[tuple[int, int], complex]:
-    return {jk: complex(c) for jk, c in terms.items() if abs(c) > PRUNE_TOL}
+def _exponent_pair(j, k) -> tuple[int, int]:
+    if j < 0 or k < 0 or j != int(j) or k != int(k):
+        raise ValueError(f"exponent pair {(j, k)} is not a pair of nonnegative integers")
+    return int(j), int(k)
 
 
 @dataclass(frozen=True)
@@ -43,16 +45,18 @@ class BivariatePolynomial:
     """Sparse polynomial sum(c_{jk} x^j y^k) with complex coefficients.
 
     ``terms`` maps exponent pairs ``(j, k)`` to nonzero coefficients.  The
-    zero polynomial has an empty map and declared degree 0.
+    zero polynomial has an empty map and declared degree 0.  Integral float
+    exponents such as ``2.0`` are stored as ``int``.
     """
 
     terms: dict[tuple[int, int], complex] = field(default_factory=dict)
 
     def __post_init__(self):
-        cleaned = _pruned(self.terms)
-        for (j, k) in cleaned:
-            if j < 0 or k < 0 or j != int(j) or k != int(k):
-                raise ValueError(f"exponent pair {(j, k)} is not a pair of nonnegative integers")
+        cleaned = {jk: complex(c) for jk, c in self.terms.items() if abs(c) > PRUNE_TOL}
+        for j, k in cleaned:
+            if type(j) is not int or type(k) is not int or j < 0 or k < 0:
+                cleaned = {_exponent_pair(j, k): c for (j, k), c in cleaned.items()}
+                break
         object.__setattr__(self, "terms", cleaned)
 
     @property
@@ -175,7 +179,14 @@ class PlanarField:
         return max(max(self.f.degree, self.g.degree), 1)
 
     def __call__(self, x: complex, y: complex) -> tuple[complex, complex]:
-        return evaluate(self.f, x, y), evaluate(self.g, x, y)
+        """``(evaluate(f, x, y), evaluate(g, x, y))``, bit for bit, through an
+        evaluator compiled on the first call and kept on this instance."""
+        try:
+            compiled = self.__dict__["_compiled"]
+        except KeyError:
+            compiled = _compile_field(self.f, self.g)
+            object.__setattr__(self, "_compiled", compiled)
+        return compiled(x, y)
 
     def scaled(self, c: complex) -> "PlanarField":
         return PlanarField(self.f.scaled(c), self.g.scaled(c))
@@ -235,6 +246,43 @@ def evaluate(p: BivariatePolynomial, x: complex, y: complex) -> complex:
     for _ in range(max_k):
         y_pows.append(y_pows[-1] * y)
     return sum(c * x_pows[j] * y_pows[k] for (j, k), c in p.terms.items())
+
+
+def _compile_field(f: BivariatePolynomial, g: BivariatePolynomial) -> Callable[[complex, complex], tuple[complex, complex]]:
+    """Straight-line code for ``(evaluate(f, x, y), evaluate(g, x, y))``.
+
+    It does exactly ``evaluate``'s arithmetic, so its floats are identical:
+    the power chains start at ``1+0j`` and are shared by f and g, each term
+    is ``c * x^j * y^k``, and each sum runs from 0 in dict order.  The
+    coefficients are bound as names, never formatted into the source.
+    """
+    coeffs: list[complex] = []
+
+    def total(p: BivariatePolynomial) -> str:
+        if not p.terms:
+            return "0j"  # evaluate's empty sum
+        terms = ["0"]
+        for (j, k), c in p.terms.items():
+            terms.append(f"c{len(coeffs)} * x{int(j)} * y{int(k)}")
+            coeffs.append(c)
+        return " + ".join(terms)
+
+    f_src, g_src = total(f), total(g)
+    lines = []
+    for var, powers in (("x", [j for p in (f, g) for j, _ in p.terms]),
+                        ("y", [k for p in (f, g) for _, k in p.terms])):
+        if powers:
+            lines.append(f"{var}0 = 1.0 + 0.0j")
+            lines.extend(f"{var}{i} = {var}{i - 1} * {var}" for i in range(1, int(max(powers)) + 1))
+    names = ", ".join(f"c{i}" for i in range(len(coeffs)))
+    src = "".join(
+        [f"def bind({names}):\n", "    def field(x, y):\n"]
+        + [f"        {line}\n" for line in lines]
+        + [f"        return {f_src}, {g_src}\n", "    return field\n"]
+    )
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["bind"](*coeffs)
 
 
 def to_charts(fld: PlanarField) -> ChartSystem:

@@ -20,6 +20,7 @@ import argparse
 import cmath
 import datetime
 import json
+import re
 import sys
 import urllib.parse
 from dataclasses import asdict
@@ -672,11 +673,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# argparse reads any word that starts with "-" as a flag unless it is a plain
+# number, so a comma list such as "-6,0,6" is glued to its flag first
+_COMMA_LIST_FLAGS = ("--g", "--start")
+
+
+def _glue_comma_lists(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in _COMMA_LIST_FLAGS and re.match(r"-\.?\d", word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def run_command(argv: list[str]) -> int:
     """Entry point used by tests; returns the exit code."""
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_glue_comma_lists(argv))
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:

@@ -485,28 +485,32 @@ def small_divisor_scan(eigenvalues: tuple[complex, complex], max_order: int = 50
 
     Returns one row per order with the minimal divisor magnitude and its
     multi-index; a numerical survey of the small-divisor behaviour, never a
-    proof of any Diophantine condition.  The scan is quadratic in
+    proof of any Diophantine condition.  Divisors within a few ulps of the
+    minimum (rational spectra tie exactly) count as equal, and the row names
+    the smallest ``(component, alpha)`` among them.  The scan is quadratic in
     ``max_order``, so orders above 1000 are refused.
     """
     if max_order > _MAX_SCAN_ORDER:
         raise ValueError(f"max_order {max_order} exceeds {_MAX_SCAN_ORDER}; the scan is quadratic in it")
     l1, l2 = eigenvalues
+    # roundoff of one divisor at order n is a few eps * (n + 1) * max|l|
+    ulp_scale = 8.0 * sys.float_info.epsilon * max(abs(l1), abs(l2))
     rows = []
     for order in range(2, max_order + 1):
-        best = None
+        divisors = []
         for a1 in range(order + 1):
             a2 = order - a1
             combo = a1 * l1 + a2 * l2
             for iota, li in ((1, l1), (2, l2)):
-                mag = abs(li - combo)
-                if best is None or mag < best[0]:
-                    best = (mag, (a1, a2), iota)
+                divisors.append((abs(li - combo), iota, (a1, a2)))
+        cutoff = min(d[0] for d in divisors) + (order + 1) * ulp_scale
+        mag, iota, alpha = min((d for d in divisors if d[0] <= cutoff), key=lambda d: d[1:])
         rows.append(
             {
                 "order": order,
-                "min_divisor": best[0],
-                "alpha": list(best[1]),
-                "component": best[2],
+                "min_divisor": mag,
+                "alpha": list(alpha),
+                "component": iota,
             }
         )
     return rows

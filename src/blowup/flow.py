@@ -7,24 +7,34 @@ keeps a single global clock while the state may hop between charts.
 
 The stepper is the embedded Dormand-Prince 5(4) pair (Hairer, Norsett &
 Wanner, *Solving ODEs I*, II.4-II.5) with PI step-size control, on a state
-that is a tuple of Python ``complex`` throughout.  A step's error is the RMS
-over complex components of |err| / (abs_tol + rel_tol * max(|y|, |y_new|)),
-per unit step; a stage that divides by zero or overflows counts as infinite.
+that is a tuple of Python ``complex`` throughout.  A step's raw error is the
+RMS over complex components of |err| / (abs_tol + rel_tol * max(|y|, |y_new|)).
+The controller sees one error measure, the raw error per unit step, where a
+step shorter than the roundoff floor 8 eps / rel_tol is charged as one of
+that length: the embedded error of any step carries roundoff of the state
+at that level, so demanding less of a short step cannot be met.  A stage
+that divides by zero or overflows counts as an infinite error.  The last
+stage of an accepted step is the first stage of the next one (FSAL), and a
+rejected attempt keeps its first stage, so a step costs 6 RHS calls.
 
 Both integrators, ``integrate_path`` and ``continue_leaf``, march through
 ``_march(path, y0, cfg, rhs, on_step)``, the only loop that takes steps: it
-evaluates the stages and runs the step controller itself.  It walks the path one segment at a time, because corners
-are derivative jumps: segment ``floor(s + 1e-9)`` runs up to its end, and the
-step controller starts afresh at every corner.  Inside a segment both callbacks
-see the global parameter ``s``, the state ``y``, the active segment and its
-local parameter ``sigma``, clamped to [0, 1] because adaptive stages may
-poke a rounding error past the corner, where the path velocity jumps.
-``rhs(s, y, seg, sigma)`` returns dy/ds.  ``on_step(s, y, seg, sigma)`` runs
-after every accepted step and returns ``None`` to go on, a ``Termination``
-to stop there, or a replacement state (a chart switch), from which the march
-restarts the step controller at the same ``s`` towards the same segment end.
-``_march`` returns ``Termination.COMPLETED`` when the path is done, and
-raises ``StepUnderflowError`` when the step collapses.
+evaluates the stages and runs the step controller itself.  It walks the path
+one segment at a time, because corners are derivative jumps: segment
+``floor(s + 1e-9)`` runs up to its end, and the step controller starts
+afresh at every corner.  Inside a segment both callbacks see the global
+parameter ``s``, the state ``y``, the active segment and its local
+parameter ``sigma``, clamped to [0, 1] because adaptive stages may poke a
+rounding error past the corner, where the path velocity jumps.
+``rhs(s, y, seg, sigma)`` returns dy/ds, and must be a pure function of
+those arguments between ``on_step`` calls; ``on_step`` may change it only
+when it returns a replacement state, because the stage reused by FSAL was
+computed before ``on_step`` ran.  ``on_step(s, y, seg, sigma)`` runs after
+every accepted step and returns ``None`` to go on, a ``Termination`` to stop
+there, or a replacement state (a chart switch), from which the march
+restarts the step controller at the same ``s`` towards the same segment
+end.  ``_march`` returns ``Termination.COMPLETED`` when the path is done,
+and raises ``StepUnderflowError`` when the step collapses.
 """
 
 from __future__ import annotations
@@ -287,9 +297,10 @@ def _march(
     """Integrate ``rhs`` along ``path`` segment by segment (contract in the module docstring)."""
     total = path.s_length
     safety, order = 0.9, 4.0  # error-per-unit-step: controlled error is O(h^4)
-    # the embedded error cannot drop below roundoff of the state, so steps
-    # whose scaled error reaches that floor are accepted regardless of the
-    # per-unit-step demand (forced-short steps at segment ends hit this)
+    # no step's embedded error can drop below roundoff of the state, so a
+    # step shorter than this is charged as one this long: forced-short steps
+    # at segment ends, and every step at tight rel_tol, meet the tolerance
+    # there without the error measure changing its meaning
     roundoff_floor = 8.0 * sys.float_info.epsilon / cfg.rel_tol
     s, y = 0.0, y0
     while s < total - 1e-12:
@@ -299,13 +310,16 @@ def _march(
         span = s1 - s
         h = min(cfg.max_step, span / 10.0, span)
         prev_err = 1.0
+        k1 = None  # dy/ds at (s, y): kept by a rejected attempt, and FSAL
         while s < s1 - 1e-15 * max(span, abs(s1)):
             h = min(h, s1 - s, cfg.max_step)
             if h < _UNDERFLOW_FACTOR * span:
                 raise StepUnderflowError(f"step underflow at s={s:.6g}")
             try:
-                k = []
-                for c, a in zip(_DP_C, _DP_A):
+                if k1 is None:
+                    k1 = rhs(s, y, seg, min(max(s - idx, 0.0), 1.0))
+                k = [k1]
+                for c, a in zip(_DP_C[1:], _DP_A[1:]):
                     sc = s + c * h
                     k.append(rhs(sc, _combine(y, h, a, k), seg, min(max(sc - idx, 0.0), 1.0)))
                 y_new = _combine(y, h, _DP_B5, k)
@@ -319,10 +333,10 @@ def _march(
             # error per unit step: accumulated error over the whole span then
             # tracks the tolerance proportionally, so halving rel_tol (at least)
             # halves the global drift
-            err = err_raw / max(h, 1e-300)
-            at_floor = err_raw <= roundoff_floor
-            if err <= 1.0 or at_floor or h < 4 * _UNDERFLOW_FACTOR * span:
-                s = s1 if (s1 - s) <= h * (1.0 + 1e-9) else s + h
+            err = err_raw / max(h, roundoff_floor)
+            if err <= 1.0 or h < 4 * _UNDERFLOW_FACTOR * span:
+                snapped = (s1 - s) <= h * (1.0 + 1e-9)
+                s = s1 if snapped else s + h
                 y = y_new
                 verdict = on_step(s, y, seg, min(max(s - idx, 0.0), 1.0))
                 if isinstance(verdict, Termination):
@@ -330,12 +344,11 @@ def _march(
                 if verdict is not None:
                     y = verdict  # chart switch: the controller restarts at this s
                     break
-                if at_floor:
-                    h *= 5.0
-                else:
-                    # PI controller (0.7/order, 0.4/order exponents).
-                    growth = safety * err ** (-0.7 / order) * prev_err ** (0.4 / order) if err > 0 else 5.0
-                    h *= min(5.0, max(0.2, growth))
+                # FSAL: the last stage is dy/ds at (s + h, y_new), unless s snapped
+                k1 = None if snapped else k[6]
+                # PI controller (0.7/order, 0.4/order exponents).
+                growth = safety * err ** (-0.7 / order) * prev_err ** (0.4 / order) if err > 0 else 5.0
+                h *= min(5.0, max(0.2, growth))
                 prev_err = max(err, 1e-10)
             else:
                 h *= max(0.1, safety * err ** (-1.0 / order))

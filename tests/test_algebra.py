@@ -1,6 +1,11 @@
+import math
+import random
+import struct
+
 import numpy as np
 import pytest
 
+import blowup.algebra
 from blowup.algebra import (
     BivariatePolynomial,
     Chart,
@@ -11,6 +16,8 @@ from blowup.algebra import (
     jacobian,
     to_charts,
 )
+from blowup.hamiltonian import PolynomialHamiltonian, hamiltonian_field
+from blowup.scenarios import catalog_get, catalog_names
 
 P = BivariatePolynomial.from_coeffs
 
@@ -233,3 +240,66 @@ def test_degree_m_is_joint_max():
     # Degenerate lower-degree component is zero-padded by the chart maps:
     sys = to_charts(fld)
     assert all(j >= 1 for j, _ in sys.uz_field.f.terms)
+
+
+# ------------------------------------------------- compiled field evaluator
+
+def _bits(values) -> list[bytes]:
+    # bit patterns, so -0.0 differs from 0.0 and a nan equals itself
+    return [struct.pack("<dd", v.real, v.imag) for v in values]
+
+
+_POINTS = [(0.3 + 0.1j, -0.2j), (2.0, 5.0), (-1.5 - 2.5j, 0.7 + 3.1j), (0j, complex(-0.0, -0.0)),
+           (-0.0, 1e-300j), (1e155 + 1e155j, -3.0), (7, -2), (complex(math.inf, 1.0), 0.5j),
+           (1.5, complex(-2.0, math.inf))]
+
+
+def _assert_compiled_is_evaluate(fld: PlanarField) -> None:
+    for x, y in _POINTS:
+        assert _bits(fld(x, y)) == _bits((evaluate(fld.f, x, y), evaluate(fld.g, x, y))), (fld, x, y)
+
+
+def _random_poly(rng: random.Random) -> BivariatePolynomial:
+    return BivariatePolynomial({
+        (rng.randrange(7), rng.randrange(7)): complex(rng.uniform(-3, 3), rng.choice([rng.uniform(-3, 3), -0.0]))
+        for _ in range(rng.randrange(1, 12))
+    })
+
+
+def test_compiled_field_matches_evaluate_on_random_sparse_polynomials():
+    rng = random.Random(7)
+    for _ in range(40):
+        _assert_compiled_is_evaluate(PlanarField(_random_poly(rng), _random_poly(rng)))
+
+
+@pytest.mark.parametrize("f, g", [
+    pytest.param({}, {(0, 2): 1.5 - 1j, (3, 1): -2.0}, id="empty-f"),
+    pytest.param({(1, 4): 0.5j}, {}, id="empty-g"),
+    pytest.param({(0, 0): -2.0 + 0.5j}, {(0, 0): complex(3.0, -0.0)}, id="constant"),
+    pytest.param({(2.0, 0): 1.0, (1, 1.0): -0.5j}, {(0.0, 3.0): 2.0}, id="float-exponents"),
+])
+def test_compiled_field_matches_evaluate_on_edge_cases(f, g):
+    fld = PlanarField(BivariatePolynomial(f), BivariatePolynomial(g))
+    assert all(type(e) is int for p in (fld.f, fld.g) for jk in p.terms for e in jk)
+    _assert_compiled_is_evaluate(fld)
+
+
+@pytest.mark.parametrize("name", catalog_names())
+def test_compiled_chart_fields_match_evaluate_on_the_catalog(name):
+    system = catalog_get(name).system
+    csys = to_charts(hamiltonian_field(system) if isinstance(system, PolynomialHamiltonian) else system)
+    for chart in Chart.ALL:
+        _assert_compiled_is_evaluate(csys.field(chart))
+
+
+def test_field_is_compiled_once_per_instance(monkeypatch):
+    compiled = []
+    real = blowup.algebra._compile_field
+    monkeypatch.setattr(blowup.algebra, "_compile_field", lambda f, g: compiled.append(f) or real(f, g))
+    fld = PlanarField(P([(2, 0, 1.0)]), P([(0, 1, -1.0)]))
+    twin = PlanarField(P([(2, 0, 1.0)]), P([(0, 1, -1.0)]))
+    for _ in range(3):
+        fld(0.5, 0.25j)
+        twin(0.5, 0.25j)
+    assert len(compiled) == 2
+    assert fld == twin

@@ -88,6 +88,25 @@ def test_integrate_detours_around_the_pole_into_the_blowup_chart(tmp_path, capsy
     assert abs(complex(float(last[4]), float(last[5])) + 0.4) < 1e-9
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["pendulum", "--g", "-6,0,6"], id="pendulum-g"),
+    pytest.param(["detour", "catalog:scalar_poly?m=3", "--eq", "0", "--cycles", "1", "--start", "-2.0,0.0"],
+                 id="detour-start"),
+    pytest.param(["integrate", "catalog:scalar_poly?m=2", "--path", "PATH", "--start", "-1,0"],
+                 id="integrate-start"),
+])
+def test_comma_list_may_start_with_a_minus_sign(argv, tmp_path, capsys):
+    # argparse takes "-6,0,6" for a flag unless it is glued on as "--g=-6,0,6"
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"segments": [{"type": "line", "from": [0, 0], "to": [0.5, 0]}]}))
+    argv = [str(path) if a == "PATH" else a for a in argv]
+    assert run_command(argv) == 0
+    spaced = capsys.readouterr().out
+    glued = argv[:-2] + [f"{argv[-2]}={argv[-1]}"]
+    assert run_command(glued) == 0
+    assert capsys.readouterr().out == spaced
+
+
 def test_winding_law_violation_exits_numerical(monkeypatch, capsys):
     # force w_t = 2, w_u = 1 on a loop that closes with m - 1 = 1
     windings = iter([2, 1, 0])

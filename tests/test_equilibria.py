@@ -15,6 +15,7 @@ from blowup.equilibria import (
     rational_spectral_quotient,
     small_divisor_scan,
 )
+from blowup.hamiltonian import hamiltonian_field
 from blowup.scenarios import catalog_get
 
 P = BivariatePolynomial.from_coeffs
@@ -343,6 +344,26 @@ def test_nonreal_quotient_nonresonant():
     rec = classify_spectrum(sys, _record_at(sys, Chart.UZ, 0.0))
     assert rec.resonance.kind == "Nonresonant"
     assert rec.domain == Domain.POINCARE
+
+
+def test_small_divisor_scan_ties_do_not_follow_roundoff():
+    # linear_pendulum's spectra are rational, so many divisors tie exactly;
+    # a 1-ulp change in either eigenvalue must not change which one a row names
+    csys = to_charts(hamiltonian_field(catalog_get("linear_pendulum").system))
+    records = [classify_spectrum(csys, r) for r in find_equilibria(csys, "All")]
+    spectra = [r.eigenvalues for r in records if r.eigenvalues is not None and r.domain != Domain.DEGENERATE]
+    assert spectra
+
+    def nudged(z: complex, toward: float) -> complex:
+        return complex(math.nextafter(z.real, toward), math.nextafter(z.imag, toward))
+
+    for l1, l2 in spectra:
+        rows = small_divisor_scan((l1, l2), max_order=30)
+        for toward in (math.inf, -math.inf):
+            for pair in ((nudged(l1, toward), l2), (l1, nudged(l2, toward))):
+                for row, moved in zip(rows, small_divisor_scan(pair, max_order=30)):
+                    assert (moved["alpha"], moved["component"]) == (row["alpha"], row["component"]), (pair, row)
+                    assert moved["min_divisor"] == pytest.approx(row["min_divisor"], abs=1e-13)
 
 
 def test_small_divisor_scan_reports_minima():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
+from blowup.equilibria import find_equilibria
 from blowup.flow import (
     Arc,
     IntegrationConfig,
@@ -19,6 +20,7 @@ from blowup.flow import (
     integrate_path,
     winding_number,
 )
+from blowup.scenarios import catalog_get
 
 P = BivariatePolynomial.from_coeffs
 
@@ -259,6 +261,45 @@ def test_contractible_base_loop_returns_fiber():
     loop = TimePath.circle(0.5, 0.1)  # z = 0 outside
     res = continue_leaf(sys, Chart.UZ, loop, 0.03, TIGHT)
     assert abs(res["fiber_end"] - 0.03) < 1e-9
+
+
+# ---------------------------------------------------------- integrator work
+
+def _counted_leaf(monkeypatch, system, chart, loop, fiber_start, cfg):
+    """continue_leaf with every field evaluation (one per RHS call) recorded."""
+    calls = []
+    real = PlanarField.__call__
+
+    def counting(fld, x, y):
+        calls.append((x, y))
+        return real(fld, x, y)
+
+    monkeypatch.setattr(PlanarField, "__call__", counting)
+    res = continue_leaf(system, chart, loop, fiber_start, cfg)
+    monkeypatch.undo()
+    return calls, len(res["fiber_trace"]) - 1
+
+
+def test_tight_tolerance_leaf_costs_at_most_seven_rhs_calls_per_step(monkeypatch):
+    # at rel_tol = 1e-12 the roundoff floor is reached on every step; the
+    # controller must grow the step from it without a rejection each time
+    system = to_charts(catalog_get("golden_node").system)
+    eq = next(r for r in find_equilibria(system, "All") if r.chart == Chart.UZ)
+    cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
+    calls, accepted = _counted_leaf(monkeypatch, system, Chart.UZ, TimePath.circle(eq.location[1], 0.1),
+                                    0.01, cfg)
+    assert len(calls) <= 7 * accepted
+
+
+def test_rejected_attempt_reuses_the_first_stage(monkeypatch):
+    # a retry from the same (s, y) keeps k1, and an accepted step hands its
+    # last stage on (FSAL), so no field point of this one-arc loop is
+    # evaluated twice; each rejected attempt costs 6 calls
+    calls, accepted = _counted_leaf(monkeypatch, linear_uz_system(-1.0, -2.0), Chart.UZ,
+                                    TimePath.circle(0.0, 0.1), 0.01, IntegrationConfig())
+    rejected, rest = divmod(len(calls) - 1 - 6 * accepted, 6)
+    assert rest == 0 and rejected >= 1
+    assert len(set(calls)) == len(calls)
 
 
 # ------------------------------------------------------- march terminations
