@@ -35,6 +35,13 @@ there, or a replacement state (a chart switch), from which the march
 restarts the step controller at the same ``s`` towards the same segment
 end.  ``_march`` returns ``Termination.COMPLETED`` when the path is done,
 and raises ``StepUnderflowError`` when the step collapses.
+
+``integrate_path`` takes a ``ChartSystem`` and a start chart, since it may
+switch charts.  ``continue_leaf(fld, base_loop, fiber_start, cfg)`` takes
+only the ``PlanarField`` it transports (first coordinate the fiber, second
+the base, which follows ``base_loop``); it returns ``fiber_end`` and
+``fiber_trace``, the ``(s, fiber)`` pairs of the start and of every accepted
+step, and raises ``SectionTangencyError`` where the base field vanishes.
 """
 
 from __future__ import annotations
@@ -46,7 +53,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from blowup.algebra import Chart, ChartSystem, chart_point
+from blowup.algebra import Chart, ChartSystem, PlanarField, chart_point
 
 __all__ = [
     "Line",
@@ -465,22 +472,20 @@ def winding_number(curve: Sequence[complex], center: complex) -> int:
 
 
 def continue_leaf(
-    system: ChartSystem,
-    chart: str,
+    fld: PlanarField,
     base_loop: TimePath,
     fiber_start: complex,
     cfg: IntegrationConfig | None = None,
 ) -> dict:
-    """Transport a fiber value along a loop in the base coordinate of a chart.
+    """Transport a fiber value along a loop in the base coordinate of a field.
 
-    The chart's second coordinate is the base, the first the fiber.  The leaf
+    The field's second coordinate is the base, the first the fiber.  The leaf
     of the foliation satisfies d(fiber)/d(base) = field_fiber / field_base,
     which is independent of any time rescaling: Euler multipliers cancel in
-    the quotient.  Returns the holonomy image of ``fiber_start`` together
-    with the traced fiber samples.
+    the quotient, so a chart field is passed as it is.  Returns the holonomy
+    image of ``fiber_start`` together with the traced fiber samples.
     """
     cfg = cfg or IntegrationConfig()
-    fld = system.field(chart)
     fiber0 = complex(fiber_start)
     trace = [(0.0, fiber0)]
 

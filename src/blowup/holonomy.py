@@ -26,7 +26,7 @@ import cmath
 import math
 from dataclasses import dataclass, replace
 
-from blowup.algebra import Chart, ChartSystem, chart_point
+from blowup.algebra import BivariatePolynomial, Chart, ChartSystem, PlanarField, chart_point
 from blowup.equilibria import EquilibriumRecord
 from blowup.flow import (
     Arc,
@@ -56,7 +56,7 @@ __all__ = [
     "approach_blowup",
 ]
 
-_FIBER_RADII = (1e-2, 5e-3, 2.5e-3)  # each half the last: Richardson in powers of 2
+_HOLONOMY_CFG = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
 
 
 class DetourError(RuntimeError):
@@ -67,8 +67,8 @@ class LoopHitsSingularityError(DetourError):
     """The lifted loop entered the singularity ball around the equilibrium."""
 
 
-class NoInvariantFiberError(DetourError):
-    """Holonomy needs an invariant fiber line or a straightening transform."""
+class NoInvariantFiberError(ValueError):
+    """Holonomy needs an invariant fiber line: bad input, not a numerical failure."""
 
 
 class NotClosedReportError(DetourError):
@@ -82,8 +82,6 @@ class WindingLawError(DetourError):
 @dataclass(frozen=True)
 class HolonomyEstimate:
     multiplier: complex
-    fiber_radii: tuple[float, ...]
-    richardson_order: int
     predicted: complex | None
     deviation: float | None
 
@@ -301,15 +299,21 @@ def holonomy_multiplier(
     system: ChartSystem,
     eq: EquilibriumRecord,
     base_radius: float,
-    cfg: IntegrationConfig | None = None,
 ) -> HolonomyEstimate:
-    """Limit of h(u0)/u0 for the fiber holonomy over one base loop.
+    """Linear part h'(0) of the fiber holonomy over one base loop.
 
     Requires an equilibrium at infinity, where the chart structure makes the
-    fiber line invariant (the first blow-up component is divisible by the
-    fiber coordinate).  The multiplier for each starting radius in
-    ``_FIBER_RADII`` is refined by Richardson extrapolation across the radii,
-    which halve in turn; the extrapolated value is compared against
+    fiber line u = 0 invariant (the first chart component F_u is divisible by
+    the fiber coordinate).  Along that line the derivative of the holonomy
+    solves the variational equation
+
+        d(du)/dz = dF_u/du(0, z) / F_z(0, z) * du,
+
+    the leaf equation of the field's part linear in the fiber: the terms of
+    F_u of fiber degree 1 and of F_z of fiber degree 0.  The equation is
+    linear, so one continuation of it from du = 1 around the base circle
+    ends at h'(0) itself, with no fiber radius to choose and no higher germ
+    coefficient to extrapolate away.  The multiplier is compared against
     exp(2 pi i lambda) when the record carries a spectral quotient.
     """
     if eq.chart not in (Chart.UZ, Chart.VW):
@@ -317,33 +321,18 @@ def holonomy_multiplier(
     fld = system.field(eq.chart)
     if any(j == 0 for j, _ in fld.f.terms):
         raise NoInvariantFiberError("first chart component is not divisible by the fiber coordinate")
+    linear = PlanarField(
+        BivariatePolynomial({jk: c for jk, c in fld.f.terms.items() if jk[0] == 1}),
+        BivariatePolynomial({jk: c for jk, c in fld.g.terms.items() if jk[0] == 0}),
+    )
     loop = TimePath.circle(eq.location[1], base_radius)
-    cfg = cfg or IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
-    multipliers = []
-    for r in _FIBER_RADII:
-        res = continue_leaf(system, eq.chart, loop, complex(r), cfg)
-        multipliers.append(res["fiber_end"] / r)
-    # Richardson table assuming an asymptotic error series in integer powers
-    table = [list(multipliers)]
-    for j in range(1, len(multipliers)):
-        prev = table[-1]
-        table.append([
-            (2.0**j * prev[i + 1] - prev[i]) / (2.0**j - 1.0)
-            for i in range(len(prev) - 1)
-        ])
-    refined = table[-1][0]
+    multiplier = continue_leaf(linear, loop, 1 + 0j, _HOLONOMY_CFG)["fiber_end"]
     predicted = None
     deviation = None
     if eq.spectral_quotient is not None:
         predicted = cmath.exp(2j * math.pi * eq.spectral_quotient)
-        deviation = abs(refined - predicted)
-    return HolonomyEstimate(
-        multiplier=complex(refined),
-        fiber_radii=_FIBER_RADII,
-        richardson_order=len(_FIBER_RADII) - 1,
-        predicted=predicted,
-        deviation=deviation,
-    )
+        deviation = abs(multiplier - predicted)
+    return HolonomyEstimate(multiplier=multiplier, predicted=predicted, deviation=deviation)
 
 
 def blowup_star(system: ChartSystem, blowup_eq: EquilibriumRecord, report: DetourReport) -> list[dict]:

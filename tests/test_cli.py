@@ -37,6 +37,7 @@ def _error_line(capsys) -> dict:
                  id="small-divisor-order-too-high"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
+    pytest.param(["holonomy", "catalog:riccati", "--eq", "2"], id="holonomy-at-a-finite-equilibrium"),
 ])
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2

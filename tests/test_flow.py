@@ -224,7 +224,7 @@ def test_linear_holonomy_multiplier_minus_one():
     sys = linear_uz_system(-1.0, -2.0)
     loop = TimePath.circle(0.0, 0.1)
     u0 = 0.01
-    res = continue_leaf(sys, Chart.UZ, loop, u0, TIGHT)
+    res = continue_leaf(sys.uz_field, loop, u0, TIGHT)
     assert abs(res["fiber_end"] - u0 * cmath.exp(1j * math.pi)) < 1e-8
 
 
@@ -235,13 +235,13 @@ def test_holonomy_compounds_over_repeated_cycles(cycles):
     # path between cycles
     sys = linear_uz_system(-1.0, -3.0)
     u0 = 0.01
-    res = continue_leaf(sys, Chart.UZ, TimePath.circle(0.0, 0.1, cycles=cycles), u0, TIGHT)
+    res = continue_leaf(sys.uz_field, TimePath.circle(0.0, 0.1, cycles=cycles), u0, TIGHT)
     assert abs(res["fiber_end"] - u0 * cmath.exp(2j * math.pi * cycles / 3)) < 1e-12
 
 
 def test_equal_eigenvalue_holonomy_is_identity():
     sys = linear_uz_system(-1.5, -1.5)
-    res = continue_leaf(sys, Chart.UZ, TimePath.circle(0.0, 0.1), 0.02, TIGHT)
+    res = continue_leaf(sys.uz_field, TimePath.circle(0.0, 0.1), 0.02, TIGHT)
     assert abs(res["fiber_end"] - 0.02) < 1e-9
 
 
@@ -251,7 +251,7 @@ def test_caricature_saddle_holonomy_is_near_identity():
     fld = PlanarField(P([(2, 0, 1.0), (0, 2, a / 4.0)]), P([(0, 1, -1.0), (1, 1, a)]))
     sys = to_charts(fld)
     u0 = 1e-3
-    res = continue_leaf(sys, Chart.UZ, TimePath.circle(0.0, 0.1), u0, TIGHT)
+    res = continue_leaf(sys.uz_field, TimePath.circle(0.0, 0.1), u0, TIGHT)
     assert abs(res["fiber_end"] - u0) < 1e-6
 
 
@@ -259,7 +259,7 @@ def test_contractible_base_loop_returns_fiber():
     # A loop not enclosing the base singular point transports trivially.
     sys = linear_uz_system(-1.0, -2.0)
     loop = TimePath.circle(0.5, 0.1)  # z = 0 outside
-    res = continue_leaf(sys, Chart.UZ, loop, 0.03, TIGHT)
+    res = continue_leaf(sys.uz_field, loop, 0.03, TIGHT)
     assert abs(res["fiber_end"] - 0.03) < 1e-9
 
 
@@ -275,7 +275,7 @@ def _counted_leaf(monkeypatch, system, chart, loop, fiber_start, cfg):
         return real(fld, x, y)
 
     monkeypatch.setattr(PlanarField, "__call__", counting)
-    res = continue_leaf(system, chart, loop, fiber_start, cfg)
+    res = continue_leaf(system.field(chart), loop, fiber_start, cfg)
     monkeypatch.undo()
     return calls, len(res["fiber_trace"]) - 1
 
@@ -328,4 +328,4 @@ def test_leaf_continuation_through_a_base_zero_raises_tangency():
     # segment starts, so the leaf cannot be written over the base there.
     sys = to_charts(PlanarField(P([(1, 0, 1.0)]), P([(0, 1, -1.0)])))
     with pytest.raises(SectionTangencyError):
-        continue_leaf(sys, Chart.UZ, TimePath.from_points([0.0, 0.1]), 0.01, TIGHT)
+        continue_leaf(sys.uz_field, TimePath.from_points([0.0, 0.1]), 0.01, TIGHT)

@@ -82,9 +82,29 @@ def test_holonomy_orientation_reversal_inverts_multiplier():
     fwd = TimePath.circle(0.0, 0.1)
     rev = TimePath((Arc(0.0, 0.1, 2.0 * math.pi, 0.0),))
     r = 1e-3
-    m_fwd = continue_leaf(sys, Chart.UZ, fwd, r)["fiber_end"] / r
-    m_rev = continue_leaf(sys, Chart.UZ, rev, r)["fiber_end"] / r
+    m_fwd = continue_leaf(sys.uz_field, fwd, r)["fiber_end"] / r
+    m_rev = continue_leaf(sys.uz_field, rev, r)["fiber_end"] / r
     assert abs(m_fwd * m_rev - 1.0) < 1e-7
+
+
+@pytest.mark.parametrize("name, params, index", [
+    pytest.param("golden_node", {}, 0, id="golden_node-eq0"),
+    pytest.param("rational_node", {"n1": 3, "n2": 5}, 0, id="rational_node-3-5-eq0"),
+    pytest.param("galerkin_asymmetric", {}, 0, id="galerkin_asymmetric-eq0-UZ"),
+    pytest.param("galerkin_asymmetric", {}, 1, id="galerkin_asymmetric-eq1-VW"),
+    pytest.param("galerkin_symmetric", {}, 1, id="galerkin_symmetric-eq1-VW-jordan"),
+    pytest.param("jordan_block", {}, 0, id="jordan_block-eq0"),
+])
+def test_multiplier_of_a_nonlinear_fiber_is_exp_2_pi_i_lambda(name, params, index):
+    # the fiber's higher germ coefficients must not leak into h'(0): these
+    # fields are nonlinear in the fiber, in both charts, and some of the
+    # points are not semisimple
+    from blowup.cli import classified_equilibria
+    sys, recs = classified_equilibria(catalog_get(name, params).system)
+    eq = recs[index]
+    assert eq.chart in (Chart.UZ, Chart.VW) and eq.spectral_quotient is not None
+    est = holonomy_multiplier(sys, eq, base_radius=0.1)
+    assert abs(est.multiplier - cmath.exp(2j * math.pi * eq.spectral_quotient)) < 1e-12
 
 
 def test_no_invariant_fiber_for_finite_equilibrium():
