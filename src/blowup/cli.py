@@ -2,11 +2,16 @@
 linearization, portraits, pendulum windings, tree counts, and the catalog.
 
 System arguments accept either a JSON file path or a ``catalog:`` URI such
-as ``catalog:galerkin_symmetric?a=2``.  All reports are emitted as JSON with
-every float printed to 17 significant digits, so identical invocations are
-byte-identical; SVG output carries a timestamp comment unless
-``--reproducible`` is passed.  Library values are written as they are:
-complex numbers as [re, im], tuples as lists, fractions as [num, den].
+as ``catalog:galerkin_symmetric?a=2``.  Each subcommand parses its flags,
+calls the library and prints the records it returns.  Every report,
+``trees`` included, is one JSON document with every float printed to 17
+significant digits, so identical invocations are byte-identical; only
+``integrate`` (a CSV of samples) and the files ``portrait`` writes are not
+JSON, and SVG output carries a timestamp comment unless ``--reproducible``
+is passed.  Library records are written as they are, their fields in order
+as the report's keys: complex numbers as [re, im], tuples as lists,
+fractions as [num, den].  A detour report is ``DetourReport``, so beside
+the keys it always had it carries ``fiber_start_magnitude``.
 
 Exit codes: 0 success, 2 validation error, 3 numerical failure, decided by
 one rule on the exception type: ``RuntimeError`` and ``ArithmeticError``
@@ -60,14 +65,6 @@ class CliValidationError(ValueError):
     """Bad input: exits with code 2."""
 
 
-class ParseError(CliValidationError):
-    pass
-
-
-class DegreeZeroError(CliValidationError):
-    pass
-
-
 # ------------------------------------------------------------- serialization
 
 def _fmt_float(x: float) -> str:
@@ -108,70 +105,63 @@ def dump_json(value) -> str:
 
 # ---------------------------------------------------------------- system I/O
 
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as err:
+        raise CliValidationError(f"cannot read {what} {path}: {err}") from None
+
+
 def parse_system_file(path: str) -> PlanarField | PolynomialHamiltonian:
     """Load a planar field or polynomial Hamiltonian from a JSON spec file.
 
     Field files carry ``f`` and ``g`` coefficient tables of rows
     [j, k, re, im]; Hamiltonian files carry ``H`` (same rows) and an optional
-    ``level`` pair.  Coefficients must be numeric; zero rows are pruned.
+    ``level`` pair.  Coefficients must be numeric; zero rows are pruned.  The
+    constructors refuse a zero field and a Hamiltonian of degree below 2.
     """
-    p = Path(path)
-    if not p.exists():
-        raise ParseError(f"no such file: {path}")
-    try:
-        doc = json.loads(p.read_text())
-    except json.JSONDecodeError as err:
-        raise ParseError(f"invalid JSON in {path}: {err}") from None
+    doc = _read_json(path, "system file")
     if not isinstance(doc, dict):
-        raise ParseError("system file must hold a JSON object")
+        raise CliValidationError("system file must hold a JSON object")
     if "H" in doc:
         H = _poly_from_rows(doc["H"], "H")
-        level = _pair(doc.get("level", [0.0, 0.0]), "level")
-        if H.degree < 2:
-            raise DegreeZeroError("Hamiltonian degree below 2")
-        return PolynomialHamiltonian(H, level)
+        return PolynomialHamiltonian(H, _pair(doc.get("level", [0.0, 0.0]), "level"))
     if "f" not in doc or "g" not in doc:
-        raise ParseError("system file needs either f and g, or H")
+        raise CliValidationError("system file needs either f and g, or H")
     params = doc.get("parameters", {})
     if not isinstance(params, dict) or any(not isinstance(v, (int, float)) for v in params.values()):
-        raise ParseError("user files must carry fully numeric parameters")
-    f = _poly_from_rows(doc["f"], "f")
-    g = _poly_from_rows(doc["g"], "g")
-    if f.is_zero and g.is_zero:
-        raise DegreeZeroError("both components are zero")
-    fld = PlanarField(f, g)
-    if fld.degree_m < 1:
-        raise DegreeZeroError("field degree is zero")
-    return fld
+        raise CliValidationError("user files must carry fully numeric parameters")
+    return PlanarField(_poly_from_rows(doc["f"], "f"), _poly_from_rows(doc["g"], "g"))
 
 
 def _poly_from_rows(rows, name: str) -> BivariatePolynomial:
     if not isinstance(rows, list):
-        raise ParseError(f"{name} must be a list of [j, k, re, im] rows")
+        raise CliValidationError(f"{name} must be a list of [j, k, re, im] rows")
     entries = []
     for i, row in enumerate(rows):
         if not (isinstance(row, list) and len(row) == 4):
-            raise ParseError(f"{name}[{i}] must be [j, k, re, im]")
+            raise CliValidationError(f"{name}[{i}] must be [j, k, re, im]")
         j, k, re, im = row
         if not (isinstance(j, int) and isinstance(k, int)) or j < 0 or k < 0:
-            raise ParseError(f"{name}[{i}]: exponents must be nonnegative integers, got {j}, {k}")
+            raise CliValidationError(f"{name}[{i}]: exponents must be nonnegative integers, got {j}, {k}")
         if not all(isinstance(v, (int, float)) for v in (re, im)):
-            raise ParseError(f"{name}[{i}]: coefficients must be numeric")
+            raise CliValidationError(f"{name}[{i}]: coefficients must be numeric")
         entries.append((j, k, complex(re, im)))
     return BivariatePolynomial.from_coeffs(entries)
 
 
-def resolve_system(spec: str) -> tuple[PlanarField | PolynomialHamiltonian, dict]:
-    """Resolve a `catalog:name?p=v` URI or a JSON file path."""
+def resolve_system(spec: str) -> tuple[PlanarField | PolynomialHamiltonian, dict, tuple | None]:
+    """Resolve a `catalog:name?p=v` URI or a JSON file path.
+
+    Returns the system, the report's ``system`` block, and the catalog's
+    suggested detour start (None for files).
+    """
     if spec.startswith("catalog:"):
-        rest = spec[len("catalog:"):]
-        name, _, query = rest.partition("?")
+        name, _, query = spec[len("catalog:"):].partition("?")
         params = _parse_params(urllib.parse.parse_qsl(query))
         entry = catalog_get(name, params)
-        meta = {"source": "catalog", "name": name, "parameters": params,
-                "suggested_start": entry.suggested_start}
-        return entry.system, meta
-    return parse_system_file(spec), {"source": "file", "path": spec}
+        return entry.system, {"source": "catalog", "name": name, "parameters": params}, entry.suggested_start
+    return parse_system_file(spec), {"source": "file", "path": spec}, None
 
 
 def _parse_params(pairs) -> dict:
@@ -192,12 +182,9 @@ def _as_field(system) -> PlanarField:
 
 
 def load_path_file(path: str) -> TimePath:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ParseError(f"cannot read path file {path}: {err}") from None
+    doc = _read_json(path, "path file")
     if not (isinstance(doc, dict) and isinstance(doc.get("segments", []), list)):
-        raise ParseError("path file must hold an object with a list of segments")
+        raise CliValidationError("path file must hold an object with a list of segments")
     segs = []
     for i, seg in enumerate(doc.get("segments", [])):
         kind = seg.get("type") if isinstance(seg, dict) else None
@@ -209,21 +196,21 @@ def load_path_file(path: str) -> TimePath:
                             *(_real(seg[key], f"segments[{i}].{key}")
                               for key in ("radius", "angle_from", "angle_to"))))
         else:
-            raise ParseError(f"segments[{i}]: type must be line or arc")
+            raise CliValidationError(f"segments[{i}]: type must be line or arc")
     if not segs:
-        raise ParseError("path file has no segments")
+        raise CliValidationError("path file has no segments")
     return TimePath(tuple(segs), int(_real(doc.get("cycles", 1), "cycles")))
 
 
 def _real(val, what: str) -> float:
     if not isinstance(val, (int, float)):
-        raise ParseError(f"{what} must be a number")
+        raise CliValidationError(f"{what} must be a number")
     return float(val)
 
 
 def _pair(val, what: str) -> complex:
     if not (isinstance(val, list) and len(val) == 2):
-        raise ParseError(f"{what} must be a [re, im] pair")
+        raise CliValidationError(f"{what} must be a [re, im] pair")
     return complex(_real(val[0], what), _real(val[1], what))
 
 
@@ -241,26 +228,23 @@ def classified_equilibria(system) -> tuple:
     return csys, recs
 
 
-def cmd_classify(args) -> int:
-    system, meta = resolve_system(args.system)
+def cmd_classify(args) -> None:
+    system, meta, _ = resolve_system(args.system)
     _, recs = classified_equilibria(system)
     rows = [asdict(r) for r in recs]
     if args.small_divisors:
         for rec, row in zip(recs, rows):
             if rec.eigenvalues is not None and rec.domain != "Degenerate":
                 row["small_divisor_scan"] = small_divisor_scan(rec.eigenvalues, args.small_divisor_order)
-    doc = {"system": meta_public(meta), "equilibria": rows}
-    _emit(args, doc)
-    return 0
+    _emit(args, {"system": meta, "equilibria": rows})
 
 
-def meta_public(meta: dict) -> dict:
-    out = {k: v for k, v in meta.items() if k != "suggested_start"}
-    return out
+def _csv(c: complex) -> str:
+    return f"{c.real:.17g},{c.imag:.17g}"
 
 
-def cmd_integrate(args) -> int:
-    system, meta = resolve_system(args.system)
+def cmd_integrate(args) -> None:
+    system, _, _ = resolve_system(args.system)
     csys = to_charts(_as_field(system))
     path = load_path_file(args.path)
     start = _parse_start(args.start)
@@ -268,21 +252,10 @@ def cmd_integrate(args) -> int:
     traj = integrate_path(csys, args.chart, start, path, cfg)
     lines = ["s,re_t,im_t,chart,re_c1,im_c1,re_c2,im_c2"]
     for smp in traj.samples:
-        lines.append(",".join([
-            format(smp.s, ".17g"),
-            format(smp.t.real, ".17g"), format(smp.t.imag, ".17g"),
-            smp.chart,
-            format(smp.coords[0].real, ".17g"), format(smp.coords[0].imag, ".17g"),
-            format(smp.coords[1].real, ".17g"), format(smp.coords[1].imag, ".17g"),
-        ]))
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        Path(args.output).write_text(text)
-    else:
-        sys.stdout.write(text)
+        lines.append(f"{smp.s:.17g},{_csv(smp.t)},{smp.chart},{_csv(smp.coords[0])},{_csv(smp.coords[1])}")
+    _emit(args, "\n".join(lines) + "\n")
     if traj.terminated_reason in (Termination.STEP_UNDERFLOW, Termination.DIVERGED):
         raise FlowError(f"integration terminated: {traj.terminated_reason.value}")
-    return 0
 
 
 def _reals(text: str, flag: str) -> list[float]:
@@ -301,29 +274,25 @@ def _parse_start(text: str) -> tuple[complex, complex]:
     raise CliValidationError("--start needs 2 or 4 comma-separated reals")
 
 
-def _select_equilibrium(system, index: int) -> tuple:
-    sys, recs = classified_equilibria(system)
-    if not (0 <= index < len(recs)):
-        raise CliValidationError(f"--eq index {index} outside 0..{len(recs) - 1}")
-    return sys, recs[index]
+def _select_equilibrium(args) -> tuple:
+    """Chart system, ``--eq`` record, report head and suggested start of ``args.system``."""
+    system, meta, suggested_start = resolve_system(args.system)
+    csys, recs = classified_equilibria(system)
+    if not (0 <= args.eq < len(recs)):
+        raise CliValidationError(f"--eq index {args.eq} outside 0..{len(recs) - 1}")
+    rec = recs[args.eq]
+    return csys, rec, {"system": meta, "equilibrium": asdict(rec)}, suggested_start
 
 
-def cmd_holonomy(args) -> int:
-    system, meta = resolve_system(args.system)
-    csys, rec = _select_equilibrium(system, args.eq)
-    est = holonomy_multiplier(csys, rec, base_radius=args.radius)
-    _emit(args, {"system": meta_public(meta), "equilibrium": asdict(rec), **asdict(est)})
-    return 0
+def cmd_holonomy(args) -> None:
+    csys, rec, head, _ = _select_equilibrium(args)
+    _emit(args, {**head, **asdict(holonomy_multiplier(csys, rec, base_radius=args.radius))})
 
 
-def _auto_approach(csys, rec, meta, args):
-    start = None
-    if args.start:
-        start = _parse_start(args.start)
-    elif meta.get("suggested_start"):
-        start = meta["suggested_start"]
+def _auto_approach(csys, rec, suggested_start, args):
+    start = _parse_start(args.start) if args.start else suggested_start
     if start is None:
-        raise CliValidationError("need --start for file-based systems")
+        raise CliValidationError("need --start: this system suggests no detour start")
     cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, singularity_radius=args.ball)
     approach = approach_blowup(csys, start, rec, horizon=args.horizon, cfg=cfg)
     if approach.terminated_reason != Termination.ENTERED_SINGULARITY_BALL:
@@ -334,91 +303,51 @@ def _auto_approach(csys, rec, meta, args):
     return approach
 
 
-def cmd_detour(args) -> int:
-    system, meta = resolve_system(args.system)
-    csys, rec = _select_equilibrium(system, args.eq)
-    approach = _auto_approach(csys, rec, meta, args)
+def cmd_detour(args) -> None:
+    csys, rec, head, suggested_start = _select_equilibrium(args)
+    approach = _auto_approach(csys, rec, suggested_start, args)
     report = masuda_detour(csys, rec, approach, loop_radius=args.radius, cycles=args.cycles,
                            cfg=IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, max_step=0.02))
-    doc = {
-        "system": meta_public(meta),
-        "equilibrium": asdict(rec),
-        "cycles": report.cycles,
-        "loop_radius": report.t_loop.segments[0].radius,
-        "start_state": report.start_state,
-        "end_state": report.end_state,
-        "discrepancy": report.discrepancy,
-        "relative_discrepancy": report.discrepancy / report.fiber_start_magnitude,
-        "windings": report.windings,
-        "closed": report.closed,
-        "chart": report.chart,
-        "T_estimate": report.T_estimate,
-        "t_fit_coefficient": report.t_fit_coefficient,
-        "a_u": report.a_u,
-        "closure_threshold": report.closure_threshold,
-        "per_cycle_discrepancy": report.per_cycle_discrepancy,
-    }
+    doc = {**head, **asdict(report)}
     if report.closed and args.star:
         doc["star"] = blowup_star(csys, rec, report)
     _emit(args, doc)
-    return 0
 
 
-def cmd_linearize(args) -> int:
-    system, meta = resolve_system(args.system)
-    csys, rec = _select_equilibrium(system, args.eq)
+def cmd_linearize(args) -> None:
+    csys, rec, head, _ = _select_equilibrium(args)
     tr = poincare_linearize(csys, rec, order_N=args.order)
-    res = conjugacy_residual(csys, rec, tr, ball_radius=args.ball_radius)
-    doc = {
-        "system": meta_public(meta),
-        "equilibrium": asdict(rec),
+    _emit(args, {
+        **head,
         "order_N": tr.order_N,
         "eigenvalues": tr.eigenvalues,
-        "forward": [_poly_rows(tr.components[0]), _poly_rows(tr.components[1])],
-        "inverse": [_poly_rows(tr.inverse_components[0]), _poly_rows(tr.inverse_components[1])],
+        "forward": [_poly_rows(p) for p in tr.components],
+        "inverse": [_poly_rows(p) for p in tr.inverse_components],
         "min_divisor": tr.min_divisor,
         "max_coefficient": tr.max_coefficient,
-        "residual": {key: res[key] for key in ("radii", "max_residuals", "fitted_order")},
-    }
-    _emit(args, doc)
-    return 0
+        "residual": conjugacy_residual(csys, rec, tr, ball_radius=args.ball_radius),
+    })
 
 
 def _poly_rows(p: BivariatePolynomial) -> list:
     return [[j, k, float(c.real), float(c.imag)] for (j, k), c in sorted(p.terms.items())]
 
 
-def cmd_pendulum(args) -> int:
+def cmd_pendulum(args) -> None:
     coeffs = _reals(args.g, "--g")
-    rep = pendulum_loop_windings(coeffs, loop_radius=args.radius)
-    doc = {
-        "force_coefficients": coeffs,
-        "w_t": rep["w_t"],
-        "w_v": rep["w_v"],
-        "w_w": rep["w_w"],
-        "leaves": rep["leaves"],
-        "stabilized_radius": rep["radius"],
-    }
-    _emit(args, doc)
-    return 0
+    _emit(args, {"force_coefficients": coeffs, **pendulum_loop_windings(coeffs, loop_radius=args.radius)})
 
 
-def cmd_trees(args) -> int:
+def cmd_trees(args) -> None:
     if args.max_m < 2:
         raise CliValidationError("--max-m must be at least 2")
-    rows = [(m, tree_count(m)) for m in range(2, args.max_m + 1)]
-    if args.json:
-        _emit(args, {"counts": [{"m": m, "count": c} for m, c in rows]})
-    else:
-        for m, c in rows:
-            print(f"{m:3d} {c}")
-    return 0
+    _emit(args, {"counts": [{"m": m, "count": tree_count(m)} for m in range(2, args.max_m + 1)]})
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args) -> None:
     if args.action == "list":
         _emit(args, {"names": catalog_names()})
-        return 0
+        return
     if not args.name:
         raise CliValidationError("catalog show needs a name")
     params = _parse_params(kv.partition("=")[::2] for kv in args.params.split(",") if kv)
@@ -427,40 +356,35 @@ def cmd_catalog(args) -> int:
         system = {"H": _poly_rows(entry.system.H), "level": entry.system.level_c}
     else:
         system = {"f": _poly_rows(entry.system.f), "g": _poly_rows(entry.system.g)}
-    doc = {
+    _emit(args, {
         "name": entry.name,
         "parameters": entry.parameters,
         "system": system,
         "expected": entry.expected,
         "citation": entry.citation,
-    }
-    _emit(args, doc)
-    return 0
+    })
 
 
 # ----------------------------------------------------------------- portraits
 
 def load_portrait_spec(path: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ParseError(f"cannot read portrait spec {path}: {err}") from None
+    doc = _read_json(path, "portrait spec")
     if not isinstance(doc, dict):
-        raise ParseError("portrait spec must hold a JSON object")
+        raise CliValidationError("portrait spec must hold a JSON object")
     for key in ("chart", "grid", "time_direction", "horizon"):
         if key not in doc:
-            raise ParseError(f"portrait spec is missing {key!r}")
+            raise CliValidationError(f"portrait spec is missing {key!r}")
     if _real(doc["horizon"], "horizon") <= 0:
-        raise ParseError("horizon must be positive")
+        raise CliValidationError("horizon must be positive")
     for key in ("rel_tol", "abs_tol", "max_step"):
         _real(doc.get(key, 0.0), key)
     grid = doc["grid"]
     if not (isinstance(grid, dict) and all(isinstance(grid.get(a), list) and len(grid[a]) == 3 for a in ("re", "im"))):
-        raise ParseError("grid needs re and im as [from, to, count] triples")
+        raise CliValidationError("grid needs re and im as [from, to, count] triples")
     for val in grid["re"] + grid["im"]:
         _real(val, "grid")
     if not isinstance(doc.get("styling", {}), dict):
-        raise ParseError("styling must be an object")
+        raise CliValidationError("styling must be an object")
     return doc
 
 
@@ -469,7 +393,7 @@ def _portrait_seeds(spec: dict) -> list[tuple[complex, complex]]:
     re0, re1, n_re = grid["re"]
     im0, im1, n_im = grid["im"]
     if n_re < 1 or n_im < 1:
-        raise ParseError("grid counts must be at least 1")
+        raise CliValidationError("grid counts must be at least 1")
     fixed = _pair(grid.get("fixed", [0.0, 0.0]), "grid.fixed")
     moving_index = 0 if grid.get("coordinate", "first") == "first" else 1
     seeds = []
@@ -492,7 +416,7 @@ def _time_path(spec: dict) -> TimePath:
     elif isinstance(direction, dict) and "Ray" in direction:
         end = horizon * cmath.exp(1j * _real(direction["Ray"], "time_direction.Ray"))
     else:
-        raise ParseError("time_direction must be Real, Imaginary, or {\"Ray\": angle}")
+        raise CliValidationError("time_direction must be Real, Imaginary, or {\"Ray\": angle}")
     return TimePath.from_points([0.0, end])
 
 
@@ -561,37 +485,31 @@ def _portrait_svg(results: list[dict], spec: dict) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_portrait(args) -> int:
-    system, meta = resolve_system(args.system)
+def cmd_portrait(args) -> None:
+    system, _, _ = resolve_system(args.system)
     spec = load_portrait_spec(args.portrait)
     results, svg = sample_portrait(system, spec)
     stem = Path(args.output or "portrait")
-    svg_text = svg
     if not args.reproducible:
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        svg_text = f"<!-- generated {stamp} -->\n" + svg
-    Path(f"{stem}.svg").write_text(svg_text)
+        svg = f"<!-- generated {datetime.datetime.now(datetime.timezone.utc).isoformat()} -->\n" + svg
+    Path(f"{stem}.svg").write_text(svg)
     lines = ["seed,idx,chart,re_c1,im_c1,re_c2,im_c2"]
     for res in results:
         for i, (c1, c2, chart) in enumerate(res["points"]):
-            lines.append(
-                f'{res["seed"]},{i},{chart},'
-                f'{format(c1.real, ".17g")},{format(c1.imag, ".17g")},'
-                f'{format(c2.real, ".17g")},{format(c2.imag, ".17g")}'
-            )
+            lines.append(f'{res["seed"]},{i},{chart},{_csv(c1)},{_csv(c2)}')
     Path(f"{stem}.csv").write_text("\n".join(lines) + "\n")
     statuses = {}
     for res in results:
         statuses[res["status"]] = statuses.get(res["status"], 0) + 1
     print(dump_json({"seeds": len(results), "statuses": statuses,
                      "svg": f"{stem}.svg", "csv": f"{stem}.csv"}))
-    return 0
 
 
 # --------------------------------------------------------------------- main
 
 def _emit(args, doc) -> None:
-    text = dump_json(doc) + "\n"
+    """Write a report, or the CSV text ``integrate`` makes, to ``--output`` or stdout."""
+    text = doc if isinstance(doc, str) else dump_json(doc) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -659,7 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trees", help="planar tree counts")
     p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    p.add_argument("--json", action="store_true")
     p.add_argument("--output")
     p.set_defaults(func=cmd_trees)
 
@@ -696,7 +613,8 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except (RuntimeError, ArithmeticError) as err:
         print(dump_json({"error": "numerical", "message": str(err)}), file=sys.stderr)
         return 3

@@ -143,16 +143,6 @@ def _horner(c: list[complex], z: complex) -> tuple[complex, complex, float]:
     return val, der, bound
 
 
-def _restrict_first_zero(p: BivariatePolynomial) -> list[complex]:
-    """Coefficients of z -> p(0, z), low to high."""
-    deg = max((k for (j, k) in p.terms if j == 0), default=0)
-    coeffs = [0.0 + 0.0j] * (deg + 1)
-    for (j, k), c in p.terms.items():
-        if j == 0:
-            coeffs[k] += c
-    return coeffs
-
-
 def _newton_polish_1d(coeffs: list[complex], root: complex, steps: int = _NEWTON_CAP) -> complex:
     """Newton's method on a univariate polynomial until the step is at roundoff.
 
@@ -198,10 +188,15 @@ def _newton_polish_2d(fld: PlanarField, pt: tuple[complex, complex], steps: int 
     return x, y
 
 
+def _close(p: complex, q: complex, tol: float = 1e-8) -> bool:
+    """Whether p equals q to ``tol`` relative to max(1, |q|)."""
+    return abs(p - q) <= tol * max(1.0, abs(q))
+
+
 def _dedupe(points: list[complex], tol: float = 1e-8) -> list[complex]:
     out: list[complex] = []
     for p in points:
-        if all(abs(p - q) > tol * max(1.0, abs(q)) for q in out):
+        if not any(_close(p, q, tol) for q in out):
             out.append(p)
     return out
 
@@ -224,8 +219,8 @@ def find_equilibria(system: ChartSystem, search: str = "All") -> list[Equilibriu
 
 
 def _infinity_equilibria(system: ChartSystem) -> list[EquilibriumRecord]:
-    p_uz = _restrict_first_zero(system.uz_field.g)
-    q_vw = _restrict_first_zero(system.vw_field.g)
+    p_uz = _coeffs_in_y_at(system.uz_field.g, 0)
+    q_vw = _coeffs_in_y_at(system.vw_field.g, 0)
     if all(abs(c) < 1e-300 for c in p_uz) and all(abs(c) < 1e-300 for c in q_vw):
         raise DegenerateSystemError("the whole sphere at infinity consists of equilibria")
     z_roots = [_newton_polish_1d(p_uz, r) for r in _poly_roots(p_uz)]
@@ -239,17 +234,9 @@ def _infinity_equilibria(system: ChartSystem) -> list[EquilibriumRecord]:
             records.append(EquilibriumRecord(Chart.UZ, (0.0 + 0.0j, e)))
             seen_z.append(e)
     for e in w_roots:
-        if abs(e) < 1e-12:
-            records.append(EquilibriumRecord(Chart.VW, (0.0 + 0.0j, e)))  # z at infinity
-        elif abs(e) < 1.0 - 1e-9:
-            records.append(EquilibriumRecord(Chart.VW, (0.0 + 0.0j, e)))
-        elif abs(e) <= 1.0 + 1e-9 and not _matches_any(1.0 / e, seen_z):
+        if abs(e) < 1.0 - 1e-9 or (abs(e) <= 1.0 + 1e-9 and not any(_close(1.0 / e, q) for q in seen_z)):
             records.append(EquilibriumRecord(Chart.VW, (0.0 + 0.0j, e)))
     return records
-
-
-def _matches_any(value: complex, pool: list[complex], tol: float = 1e-8) -> bool:
-    return any(abs(value - q) <= tol * max(1.0, abs(q)) for q in pool)
 
 
 def _resultant_coeffs(f: BivariatePolynomial, g: BivariatePolynomial) -> list[complex]:
@@ -335,17 +322,10 @@ def _finite_equilibria(fld: PlanarField) -> list[EquilibriumRecord]:
         for y0 in _dedupe(y_candidates, tol=1e-6):
             x1, y1 = _newton_polish_2d(fld, (x0, y0))
             r1, r2 = fld(x1, y1)
-            if max(abs(r1), abs(r2)) < 1e-12 and not _point_in(found, (x1, y1)):
+            if max(abs(r1), abs(r2)) < 1e-12 and not any(_close(x1, a) and _close(y1, b) for a, b in found):
                 found.append((x1, y1))
                 records.append(EquilibriumRecord(Chart.XY, (x1, y1)))
     return records
-
-
-def _point_in(pool: list[tuple[complex, complex]], pt: tuple[complex, complex], tol: float = 1e-8) -> bool:
-    return any(
-        abs(pt[0] - q[0]) <= tol * max(1.0, abs(q[0])) and abs(pt[1] - q[1]) <= tol * max(1.0, abs(q[1]))
-        for q in pool
-    )
 
 
 def rational_spectral_quotient(lam: float, tol: float, denominator_bound: int) -> tuple[int, int] | None:

@@ -240,10 +240,6 @@ class Trajectory:
     terminated_reason: Termination
 
     @property
-    def start(self) -> TrajectorySample:
-        return self.samples[0]
-
-    @property
     def end(self) -> TrajectorySample:
         return self.samples[-1]
 

@@ -123,7 +123,7 @@ def pendulum_loop_windings(
     w = th^(m-1) (half a circle of th per leaf when m is odd), integrates
     original time by quadrature of dt = v^(m-1) dt2, and extracts integer
     windings.  The radius is halved, at most ``_MAX_HALVINGS`` times, until
-    two successive radii agree.
+    two successive radii agree; the smaller is ``stabilized_radius``.
     """
     g = [complex(c) for c in g_coeffs]
     while g and abs(g[-1]) < 1e-300:
@@ -146,7 +146,7 @@ def pendulum_loop_windings(
             radius *= 0.5
             continue
         if result == (wt, wv, ww):
-            return {"w_t": wt, "w_v": wv, "w_w": ww, "leaves": leaves, "radius": radius}
+            return {"w_t": wt, "w_v": wv, "w_w": ww, "leaves": leaves, "stabilized_radius": radius}
         result = (wt, wv, ww)
         radius *= 0.5
     raise RuntimeError("winding extraction did not stabilize under radius halving")

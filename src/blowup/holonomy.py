@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 from blowup.algebra import BivariatePolynomial, Chart, ChartSystem, PlanarField, chart_point
-from blowup.equilibria import EquilibriumRecord
+from blowup.equilibria import EquilibriumRecord, find_equilibria
 from blowup.flow import (
     Arc,
     IntegrationConfig,
@@ -88,20 +88,23 @@ class HolonomyEstimate:
 
 @dataclass(frozen=True)
 class DetourReport:
+    """One detour; its fields, in this order, are the keys of the CLI report."""
+
     cycles: int
-    t_loop: TimePath
+    loop_radius: float
     start_state: tuple[complex, complex]
     end_state: tuple[complex, complex]
     discrepancy: float
+    relative_discrepancy: float
     windings: dict
     closed: bool
     chart: str
     T_estimate: complex
     t_fit_coefficient: complex
     a_u: complex
-    fiber_start_magnitude: float
-    per_cycle_discrepancy: tuple[float, ...]
     closure_threshold: float
+    per_cycle_discrepancy: tuple[float, ...]
+    fiber_start_magnitude: float
 
 
 def approach_blowup(
@@ -252,19 +255,20 @@ def masuda_detour(
 
     return DetourReport(
         cycles=cycles,
-        t_loop=TimePath((Arc(T_est, loop_radius, phase, phase + 2.0 * math.pi),), cycles),
+        loop_radius=loop_radius,
         start_state=start_state,
         end_state=state,
         discrepancy=discrepancy,
+        relative_discrepancy=discrepancy / fiber_mag,
         windings=windings,
         closed=closed,
         chart=blowup_eq.chart,
         T_estimate=T_est,
         t_fit_coefficient=C_fit,
         a_u=a_u,
-        fiber_start_magnitude=fiber_mag,
-        per_cycle_discrepancy=tuple(per_cycle),
         closure_threshold=threshold,
+        per_cycle_discrepancy=tuple(per_cycle),
+        fiber_start_magnitude=fiber_mag,
     )
 
 
@@ -315,9 +319,26 @@ def holonomy_multiplier(
     ends at h'(0) itself, with no fiber radius to choose and no higher germ
     coefficient to extrapolate away.  The multiplier is compared against
     exp(2 pi i lambda) when the record carries a spectral quotient.
+
+    The base circle must enclose this root of F_z(0, z) alone and stay clear
+    of the others, so another equilibrium at infinity closer than twice the
+    radius to the centre, measured in this chart, is refused as bad input.
     """
     if eq.chart not in (Chart.UZ, Chart.VW):
         raise NoInvariantFiberError("holonomy needs a blow-up chart equilibrium")
+    centre = eq.location[1]
+    for other in find_equilibria(system, "InfinityOnly"):
+        coord = other.location[1]
+        if other.chart != eq.chart:
+            if coord == 0:
+                continue  # the other chart's origin is this chart's point at infinity
+            coord = 1.0 / coord
+        gap = abs(coord - centre)  # a gap within the root finder's own tolerance is eq itself
+        if 1e-8 * max(1.0, abs(centre)) < gap < 2.0 * base_radius:
+            raise ValueError(
+                f"the equilibrium at infinity {other.chart} {other.location} lies {gap:.3g} from the loop "
+                f"centre, within twice the base radius {base_radius:.3g}; the largest radius that passes "
+                f"is {0.5 * gap:.3g}")
     fld = system.field(eq.chart)
     if any(j == 0 for j, _ in fld.f.terms):
         raise NoInvariantFiberError("first chart component is not divisible by the fiber coordinate")

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 
 from blowup.algebra import BivariatePolynomial, ChartSystem, jacobian, solve_2x2
-from blowup.equilibria import EquilibriumRecord, small_divisor_scan
+from blowup.equilibria import Domain, EquilibriumRecord, small_divisor_scan
 
 __all__ = [
     "TruncatedTransform",
@@ -105,9 +105,7 @@ def _localized_field(
     (j00, j01), (j10, j11) = jacobian(fld, x0, y0)
     scale = max(abs(j00), abs(j01), abs(j10), abs(j11))
     l1, l2 = eq.eigenvalues
-    if abs(l1 - l2) < 1e-10 * max(abs(l1), abs(l2), 1.0):
-        if max(abs(j01), abs(j10), abs(j00 - j11)) > 1e-10 * scale:
-            raise NotSemisimpleError("equal eigenvalues with a nontrivial Jordan block")
+    if abs(l1 - l2) < 1e-10 * max(abs(l1), abs(l2), 1.0):  # semisimple, so J is scalar
         V = ((1.0, 0.0), (0.0, 1.0))
     elif abs(j01) < 1e-12 * scale:
         # lower triangular: eigenvector of l1 is (1, xi), of l2 is (0, 1)
@@ -136,9 +134,9 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
     alpha . lambda to the transform, and the finished transform is checked
     against that equation through ``order_N``.  Raises
     ``ResonantAtOrderError`` the moment a divisor drops to
-    1e-8 * max|lambda| or below, which includes every divisor of a zero
-    spectrum (exact resonances and near-resonances are treated alike: a
-    transform with exploding coefficients is worthless).
+    1e-8 * max|lambda| or below (exact resonances and near-resonances are
+    treated alike: a transform with exploding coefficients is worthless), and
+    at order 2 for a ``Degenerate`` record, whose spectrum holds a 0.
     """
     if eq.eigenvalues is None:
         raise ValueError("classify the equilibrium first")
@@ -148,6 +146,11 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
         raise ValueError("orders beyond 14 are numerically meaningless in double precision")
     if eq.semisimple is False:
         raise NotSemisimpleError("equilibrium is not semisimple")
+    if eq.domain == Domain.DEGENERATE:
+        # an eigenvalue that is 0 next to the field's scale makes the other one
+        # equal to l1 + l2, a resonance at order 2 whatever roundoff says
+        small = 0 if abs(eq.eigenvalues[0]) <= abs(eq.eigenvalues[1]) else 1
+        raise ResonantAtOrderError(2, (1, 1), 2 - small, abs(eq.eigenvalues[small]))
     local, (l1, l2), V = _localized_field(system, eq)
     guard = 1e-8 * max(abs(l1), abs(l2))
     # pre-scan all divisors up to order_N so resonance surfaces before work
@@ -259,7 +262,6 @@ def conjugacy_residual(
         slope = min(slopes)
     return {
         "radii": radii,
-        "max_residual": maxima[0],
         "max_residuals": tuple(maxima),
         "fitted_order": slope,
     }

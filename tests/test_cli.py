@@ -108,6 +108,46 @@ def test_comma_list_may_start_with_a_minus_sign(argv, tmp_path, capsys):
     assert capsys.readouterr().out == spaced
 
 
+@pytest.mark.parametrize("b1", [0.8, 1.0])
+@pytest.mark.parametrize("eq", ["1", "2"])
+def test_holonomy_refuses_a_base_circle_near_another_root(b1, eq, capsys):
+    # F_z(0, .) has roots 0 and -0.071 (b1 = 0.8) or -0.112 (b1 = 1.0): the
+    # default circle of radius 0.1 encloses the other root or passes 0.012
+    # from it, and its multiplier is then off by up to 1.7
+    system = f"catalog:galerkin_asymmetric?b1={b1}&b3=0.5"
+    assert run_command(["holonomy", system, "--eq", eq]) == 2
+    assert "largest radius that passes" in _error_line(capsys)["message"]
+    assert run_command(["holonomy", system, "--eq", eq, "--radius", "0.02"]) == 0
+    assert json.loads(capsys.readouterr().out)["deviation"] < 1e-12
+
+
+@pytest.mark.parametrize("name", ["riccati", "weierstrass"])
+def test_system_file_classifies_like_its_catalog_twin(name, tmp_path, capsys):
+    # `catalog show` prints the system in the file format: a field as f and
+    # g rows, a Hamiltonian as H rows and its level
+    assert run_command(["catalog", "show", name]) == 0
+    file = tmp_path / f"{name}.json"
+    file.write_text(json.dumps(json.loads(capsys.readouterr().out)["system"]))
+    reports = []
+    for system in (str(file), f"catalog:{name}"):
+        assert run_command(["classify", system]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["system"] == {"source": "file", "path": str(file)}
+    assert reports[0]["equilibria"] == reports[1]["equilibria"]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(["catalog", "list"], 0, id="catalog-list"),
+    pytest.param(["trees", "--max-m", "1"], 2, id="trees-max-m-below-2"),
+])
+def test_module_entry_point_exits_with_the_command_code(argv, code):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    done = subprocess.run([sys.executable, "-m", "blowup.cli", *argv], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == code
+    assert json.loads(done.stdout if code == 0 else done.stderr)
+
+
 def test_winding_law_violation_exits_numerical(monkeypatch, capsys):
     # force w_t = 2, w_u = 1 on a loop that closes with m - 1 = 1
     windings = iter([2, 1, 0])
@@ -151,7 +191,7 @@ REPORTS = [
     ("detour_report", ["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--star"]),
     ("transform_dump", ["linearize", "catalog:galerkin_symmetric", "--eq", "3", "--order", "6"]),
     ("pendulum_report", ["pendulum", "--g=-6,0,6"]),
-    ("trees_report", ["trees", "--max-m", "12", "--json"]),
+    ("trees_report", ["trees", "--max-m", "12"]),
 ] + [("catalog_entry", ["catalog", "show", name]) for name in catalog_names()]
 
 

@@ -147,7 +147,7 @@ def test_scalar_power_detours_close_at_m_minus_1_cycles(m):
 def test_default_loop_radius_is_half_the_gap_to_blowup():
     sys, eq, approach, _ = scalar_power_detour(2, 1)
     report = masuda_detour(sys, eq, approach, loop_radius=None, cycles=1, cfg=LOOP_CFG)
-    assert report.t_loop.segments[0].radius == 0.5 * abs(approach.end.t - report.T_estimate)
+    assert report.loop_radius == 0.5 * abs(approach.end.t - report.T_estimate)
     assert report.closed
 
 

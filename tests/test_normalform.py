@@ -67,7 +67,7 @@ def test_single_step_elimination_z_squared():
     assert tr.min_divisor == pytest.approx(4.0)
     res = conjugacy_residual(sys, eq, tr, ball_radius=0.1)
     # exact one-step linearization: residual at roundoff, slope reported inf
-    assert res["max_residual"] < 1e-13
+    assert res["max_residuals"][0] < 1e-13
     assert res["fitted_order"] >= 6.5
 
 
@@ -189,6 +189,17 @@ def test_zero_spectrum_is_resonant_at_order_two():
     with pytest.raises(ResonantAtOrderError) as err:
         poincare_linearize(sys, eq, order_N=4)
     assert err.value.order == 2
+
+
+def test_degenerate_record_is_resonant_at_order_two():
+    # at a multiple equilibrium the spectrum may come out as roundoff, not 0:
+    # the record is Degenerate and semisimple, and 0 = l1 makes l2 = l1 + l2
+    sys = to_charts(catalog_get("homogeneous").system)
+    eq = classify_spectrum(sys, EquilibriumRecord(Chart.XY, (1e-22 + 0j, 1e-22 + 0j)))
+    assert eq.domain == "Degenerate" and eq.semisimple
+    with pytest.raises(ResonantAtOrderError) as err:
+        poincare_linearize(sys, eq, order_N=4)
+    assert (err.value.order, err.value.alpha) == (2, (1, 1))
 
 
 def _galerkin_asymmetric_eq0(b1, b3):
