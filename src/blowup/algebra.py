@@ -226,12 +226,6 @@ class ChartSystem:
             return self.vw_field
         raise ValueError(f"unknown chart {chart!r}")
 
-    def euler_multiplier(self, chart: str, coords: tuple[complex, complex]) -> complex:
-        """dt/d(chart time) at the given point: 1, u^(m-1), or v^(m-1)."""
-        if chart == Chart.XY:
-            return 1.0
-        return coords[0] ** self.euler_exponent
-
 
 def evaluate(p: BivariatePolynomial, x: complex, y: complex) -> complex:
     """Evaluate sum(c_{jk} x^j y^k); the empty sum is exactly 0."""

@@ -17,10 +17,17 @@ that divides by zero or overflows counts as an infinite error.  The last
 stage of an accepted step is the first stage of the next one (FSAL), and a
 rejected attempt keeps its first stage, so a step costs 6 RHS calls.
 
+One attempt is straight-line code, compiled once per state size (1 for
+``continue_leaf``, 2 for ``integrate_path``): from the first stage it
+evaluates the other six, and returns the new state, the raw error and the
+seventh stage, which FSAL hands on.  Each sum is the tableau's arithmetic
+in the tableau's order, term by term with zero weights included, so the
+floats are those of applying the tableau with loops.
+
 Both integrators, ``integrate_path`` and ``continue_leaf``, march through
 ``_march(path, y0, cfg, rhs, on_step)``, the only loop that takes steps: it
-evaluates the stages and runs the step controller itself.  It walks the path
-one segment at a time, because corners are derivative jumps: segment
+calls the compiled attempt and runs the step controller itself.  It walks
+the path one segment at a time, because corners are derivative jumps: segment
 ``floor(s + 1e-9)`` runs up to its end, and the step controller starts
 afresh at every corner.  Inside a segment both callbacks see the global
 parameter ``s``, the state ``y``, the active segment and its local
@@ -47,6 +54,7 @@ step, and raises ``SectionTangencyError`` where the base field vanishes.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -133,8 +141,8 @@ class Arc:
     angle_to: float
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("arc radius must be positive")
+        if not 0.0 < self.radius < math.inf:  # also refuses NaN
+            raise ValueError(f"arc radius must be finite and positive, got {self.radius!r}")
 
     def point(self, sigma: float) -> complex:
         ang = self.angle_from + (self.angle_to - self.angle_from) * sigma
@@ -256,8 +264,10 @@ class IntegrationConfig:
             v = getattr(self, name)
             if not (0.0 < v <= 1e-2):
                 raise ValueError(f"{name} must lie in (0, 1e-2]")
-        if self.max_step <= 0 or self.singularity_radius <= 0:
-            raise ValueError("max_step and singularity_radius must be positive")
+        for name in ("max_step", "singularity_radius"):
+            v = getattr(self, name)
+            if not 0.0 < v < math.inf:  # also refuses NaN, on which the step controller never ends
+                raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
 # Dormand-Prince RK5(4) tableau.
@@ -279,15 +289,55 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 _DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
 
 
-def _combine(y: State, h: float, weights: Sequence[float], k: list[State]) -> State:
-    """``y + h * sum_j weights[j] * k[j]``, component by component."""
-    out = []
-    for i, yi in enumerate(y):
-        acc = 0j
-        for w, kj in zip(weights, k):
-            acc += w * kj[i]
-        out.append(yi + h * acc)
-    return tuple(out)
+@functools.cache
+def _compile_attempt(n: int) -> Callable:
+    """Straight-line code for one DP5(4) attempt on an ``n``-component state.
+
+    ``attempt(s, y, h, k1, rhs, seg, idx, atol, rtol)`` evaluates stages 2-7,
+    each at its local parameter clamped to [0, 1], and returns ``(y_new,
+    err_raw, k7)``, where ``k7`` is dy/ds at ``(s + h, y_new)``.  Every sum
+    is ``y_i + h * (0j + w1 * k1_i + w2 * k2_i + ...)`` over all weights of
+    its tableau row, zeros included, and the error's mean square is summed
+    from 0 in component order: the arithmetic of applying the tableau term
+    by term, so the floats are the same.  The weights are bound as names,
+    never formatted into the source.
+    """
+    values: list[float] = []
+
+    def bind(row: Sequence[float]) -> list[str]:
+        values.extend(row)
+        return [f"w{i}" for i in range(len(values) - len(row), len(values))]
+
+    def total(ws: list[str], i: int) -> str:
+        return " + ".join(["0j"] + [f"{w} * k{j}_{i}" for j, w in enumerate(ws, start=1)])
+
+    def unpack(var: str) -> str:
+        return "".join(f"{var}_{i}, " for i in range(n)) + f"= {var}"
+
+    comps = range(n)
+    body = [unpack("y"), unpack("k1")]
+    for j, (c, row) in enumerate(zip(_DP_C[1:], _DP_A[1:]), start=2):
+        (cj,), ws = bind((c,)), bind(row)
+        stage = "".join(f"y_{i} + h * ({total(ws, i)}), " for i in comps)
+        body += [f"sc = s + {cj} * h",
+                 "sg = sc - idx",  # clamped as min(max(sg, 0.0), 1.0) is, NaN included
+                 f"k{j} = rhs(sc, ({stage}), seg, 0.0 if sg < 0.0 else 1.0 if sg > 1.0 else sg)",
+                 unpack(f"k{j}")]
+    b5, e = bind(_DP_B5), bind(_DP_E)
+    body += [f"n_{i} = y_{i} + h * ({total(b5, i)})" for i in comps]
+    squares = " + ".join(
+        ["0"] + [f"(abs(0j + h * ({total(e, i)})) / (atol + rtol * max(abs(y_{i}), abs(n_{i})))) ** 2"
+                 for i in comps])
+    body += [f"return ({''.join(f'n_{i}, ' for i in comps)}), sqrt(({squares}) / {n}), k7"]
+    src = "".join(
+        [f"def bind(sqrt, {', '.join(f'w{i}' for i in range(len(values)))}):\n",
+         "    def attempt(s, y, h, k1, rhs, seg, idx, atol, rtol):\n"]
+        + [f"        {line}\n" for line in body]
+        + ["    return attempt\n"]
+    )
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["bind"](math.sqrt, *values)
 
 
 def _march(
@@ -305,6 +355,7 @@ def _march(
     # at segment ends, and every step at tight rel_tol, meet the tolerance
     # there without the error measure changing its meaning
     roundoff_floor = 8.0 * sys.float_info.epsilon / cfg.rel_tol
+    attempt, atol, rtol = _compile_attempt(len(y0)), cfg.abs_tol, cfg.rel_tol
     s, y = 0.0, y0
     while s < total - 1e-12:
         idx = min(int(math.floor(s + 1e-9)), int(total) - 1)
@@ -321,15 +372,7 @@ def _march(
             try:
                 if k1 is None:
                     k1 = rhs(s, y, seg, min(max(s - idx, 0.0), 1.0))
-                k = [k1]
-                for c, a in zip(_DP_C[1:], _DP_A[1:]):
-                    sc = s + c * h
-                    k.append(rhs(sc, _combine(y, h, a, k), seg, min(max(sc - idx, 0.0), 1.0)))
-                y_new = _combine(y, h, _DP_B5, k)
-                err_raw = math.sqrt(sum(
-                    (abs(e) / (cfg.abs_tol + cfg.rel_tol * max(abs(old), abs(new)))) ** 2
-                    for old, new, e in zip(y, y_new, _combine((0j,) * len(y), h, _DP_E, k))
-                ) / len(y))
+                y_new, err_raw, k7 = attempt(s, y, h, k1, rhs, seg, idx, atol, rtol)
             except (ZeroDivisionError, OverflowError):  # a stage hit a pole: an infinite error
                 h *= 0.1
                 continue
@@ -348,7 +391,7 @@ def _march(
                     y = verdict  # chart switch: the controller restarts at this s
                     break
                 # FSAL: the last stage is dy/ds at (s + h, y_new), unless s snapped
-                k1 = None if snapped else k[6]
+                k1 = None if snapped else k7
                 # PI controller (0.7/order, 0.4/order exponents).
                 growth = safety * err ** (-0.7 / order) * prev_err ** (0.4 / order) if err > 0 else 5.0
                 h *= min(5.0, max(0.2, growth))
@@ -398,14 +441,20 @@ def integrate_path(
     state = (complex(start_coords[0]), complex(start_coords[1]))
     samples = [TrajectorySample(0.0, path.point(0.0), chart, state)]
 
+    def bind(chart: str) -> tuple[PlanarField, int | None]:
+        """The chart's field and Euler exponent (None in XY, where dt/d(chart time) is 1)."""
+        return system.field(chart), None if chart == Chart.XY else system.euler_exponent
+
+    fld, exponent = bind(chart)  # rebound at a chart switch
+
     def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
         tdot = seg.velocity(sigma)
-        da, db = system.field(chart)(*y)
-        rho = system.euler_multiplier(chart, y)
+        da, db = fld(*y)
+        rho = 1.0 if exponent is None else y[0] ** exponent
         return da * tdot / rho, db * tdot / rho
 
     def on_step(s: float, coords: State, seg: Segment, sigma: float) -> Termination | State | None:
-        nonlocal chart
+        nonlocal chart, fld, exponent
         t = seg.point(sigma)
         samples.append(TrajectorySample(s, t, chart, coords))
         if designated_equilibrium is not None:
@@ -421,6 +470,7 @@ def integrate_path(
             new_chart, new_coords = _best_chart(coords, chart)
             if new_chart != chart:
                 chart = new_chart
+                fld, exponent = bind(chart)
                 samples.append(TrajectorySample(s, t, chart, new_coords))
                 return new_coords
         if mag > _DIVERGE_NORM:

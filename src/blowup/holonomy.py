@@ -195,6 +195,7 @@ def masuda_detour(
 
     entry_state = chart_point(approach.end.coords, approach.end.chart, blowup_eq.chart)
     phase = cmath.phase(t_enter - T_est)
+    circle = TimePath((Arc(T_est, loop_radius, phase, phase + 2.0 * math.pi),))  # refuses a bad radius
     circle_entry = T_est + loop_radius * cmath.exp(1j * phase)
 
     base_cfg = cfg or IntegrationConfig()
@@ -212,7 +213,6 @@ def masuda_detour(
     state = chart_point(moved.end.coords, moved.end.chart, blowup_eq.chart)
     start_state = state
 
-    circle = TimePath((Arc(T_est, loop_radius, phase, phase + 2.0 * math.pi),))
     per_cycle: list[float] = []
     t_samples: list[complex] = []
     u_samples: list[complex] = []

@@ -38,6 +38,11 @@ def _error_line(capsys) -> dict:
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
     pytest.param(["holonomy", "catalog:riccati", "--eq", "2"], id="holonomy-at-a-finite-equilibrium"),
+    pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "nan"], id="holonomy-nan-radius"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--ball", "nan"],
+                 id="detour-nan-ball"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--radius", "nan"],
+                 id="detour-nan-radius"),
 ])
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
@@ -58,6 +63,7 @@ _LINE = {"type": "line", "from": [0, 0], "to": [1, 0]}
     pytest.param("portrait", {**_SPEC, "horizon": "2"}, id="portrait-horizon-text"),
     pytest.param("portrait", {**_SPEC, "grid": []}, id="portrait-grid-not-an-object"),
     pytest.param("portrait", {**_SPEC, "max_step": [0.1]}, id="portrait-max-step-list"),
+    pytest.param("portrait", {**_SPEC, "max_step": math.nan}, id="portrait-max-step-nan"),
     pytest.param("classify", {"H": [[2, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]], "level": ["a", 0]},
                  id="system-level-text"),
     pytest.param("classify", {**_FIELD, "parameters": [1]}, id="system-parameters-list"),

@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,10 @@ import pytest
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.equilibria import find_equilibria
 from blowup.flow import (
+    _DP_A,
+    _DP_B5,
+    _DP_C,
+    _DP_E,
     Arc,
     IntegrationConfig,
     Line,
@@ -16,6 +21,8 @@ from blowup.flow import (
     Termination,
     TimePath,
     TooCoarseError,
+    _compile_attempt,
+    _march,
     continue_leaf,
     integrate_path,
     winding_number,
@@ -45,6 +52,22 @@ def linear_uz_system(mu1: complex, mu2: complex):
 def xy_of(sample):
     from blowup.algebra import chart_point
     return chart_point(sample.coords, sample.chart, Chart.XY)
+
+
+# ------------------------------------------------------------- bad configs
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("name", ["max_step", "singularity_radius"])
+def test_config_lengths_must_be_finite_and_positive(name, bad):
+    # a NaN max_step once made every step size NaN, and the march never ended
+    with pytest.raises(ValueError, match=name):
+        IntegrationConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -0.1])
+def test_arc_radius_must_be_finite_and_positive(bad):
+    with pytest.raises(ValueError, match="arc radius"):
+        Arc(0.0, bad, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------- TimePath
@@ -291,6 +314,32 @@ def test_tight_tolerance_leaf_costs_at_most_seven_rhs_calls_per_step(monkeypatch
     assert len(calls) <= 7 * accepted
 
 
+def test_integrate_path_evaluates_every_stage_through_the_chart_field(monkeypatch):
+    # x' = x^2 from x(0) = 1 along an arc from t = 0 to 1.2 that passes the
+    # pole at t = 1 above it, where |x| grows past 2 and the state moves to UZ
+    system = riccati_system()
+    calls = []
+    real = PlanarField.__call__
+
+    def counting(fld, x, y):
+        calls.append(fld)
+        return real(fld, x, y)
+
+    monkeypatch.setattr(PlanarField, "__call__", counting)
+    traj = integrate_path(system, Chart.XY, (1.0, 0.0), TimePath((Arc(0.6, 0.6, math.pi, 0.0),)))
+    monkeypatch.undo()
+    assert traj.terminated_reason == Termination.COMPLETED
+    charts = [smp.chart for smp in traj.samples]
+    switches = sum(a != b for a, b in zip(charts, charts[1:]))
+    assert switches == 1 and charts[-1] == Chart.UZ
+    assert abs(traj.end.coords[0] - (1.0 - 1.2)) < 1e-9  # u = 1/x = 1 - t
+    # every stage went to the active chart's field: XY's until the switch, UZ's after it
+    n_xy = calls.count(system.xy_field)
+    assert calls == [system.xy_field] * n_xy + [system.uz_field] * (len(calls) - n_xy)
+    accepted = len(traj.samples) - 1 - switches
+    assert 6 * accepted < len(calls) <= 7 * accepted
+
+
 def test_rejected_attempt_reuses_the_first_stage(monkeypatch):
     # a retry from the same (s, y) keeps k1, and an accepted step hands its
     # last stage on (FSAL), so no field point of this one-arc loop is
@@ -300,6 +349,82 @@ def test_rejected_attempt_reuses_the_first_stage(monkeypatch):
     rejected, rest = divmod(len(calls) - 1 - 6 * accepted, 6)
     assert rest == 0 and rejected >= 1
     assert len(set(calls)) == len(calls)
+
+
+def _tableau_attempt(s, y, h, k1, rhs, seg, idx, atol, rtol):
+    """One DP5(4) attempt with the tableau applied by generic loops, term by term."""
+    def combine(y, weights, k):
+        out = []
+        for i, yi in enumerate(y):
+            acc = 0j
+            for w, kj in zip(weights, k):
+                acc += w * kj[i]
+            out.append(yi + h * acc)
+        return tuple(out)
+
+    k = [k1]
+    for c, a in zip(_DP_C[1:], _DP_A[1:]):
+        sc = s + c * h
+        k.append(rhs(sc, combine(y, a, k), seg, min(max(sc - idx, 0.0), 1.0)))
+    y_new = combine(y, _DP_B5, k)
+    err_raw = math.sqrt(sum(
+        (abs(e) / (atol + rtol * max(abs(old), abs(new)))) ** 2
+        for old, new, e in zip(y, y_new, combine((0j,) * len(y), _DP_E, k))
+    ) / len(y))
+    return y_new, err_raw, k[6]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_compiled_attempt_matches_the_tableau_bit_for_bit(n):
+    rng = random.Random(n)
+    coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3 * n)]
+
+    def field(calls):
+        def rhs(s, y, seg, sigma):
+            calls.append((s, y, sigma))
+            tdot = seg.velocity(sigma)
+            return tuple((coeffs[3 * i] * y[i] * y[i - 1] + coeffs[3 * i + 1] * s + coeffs[3 * i + 2]) * tdot
+                         for i in range(n))
+        return rhs
+
+    attempt = _compile_attempt(n)
+    assert _compile_attempt(n) is attempt  # compiled once per state size
+    for _ in range(200):
+        idx = rng.randrange(3)
+        # the march may start a step a rounding error before its segment,
+        # and a step may poke stages past the segment end: both are clamped
+        s = idx + rng.choice((-1e-10, 0.0, rng.random()))
+        h = 10.0 ** rng.uniform(-12, 0)
+        y = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n))
+        seg = Arc(rng.uniform(-1, 1), rng.uniform(0.1, 1), rng.uniform(-3, 3), rng.uniform(-3, 3))
+        atol, rtol = 10.0 ** rng.uniform(-14, -6), 10.0 ** rng.uniform(-12, -4)
+        k1 = field([])(s, y, seg, min(max(s - idx, 0.0), 1.0))
+        want_calls, got_calls = [], []
+        want = _tableau_attempt(s, y, h, k1, field(want_calls), seg, idx, atol, rtol)
+        got = attempt(s, y, h, k1, field(got_calls), seg, idx, atol, rtol)
+        assert got == want  # the same floats, not merely close ones
+        assert got_calls == want_calls
+
+
+def test_a_stage_that_divides_by_zero_reaches_the_step_controller():
+    pole = ZeroDivisionError("pole")
+
+    def rhs(s, y, seg, sigma):
+        if len(calls) == 3 and poles:  # stage 4 of the first attempt, once
+            raise poles.pop()
+        calls.append(s)
+        return (1 + 0j,)
+
+    calls, poles = [], [pole]
+    with pytest.raises(ZeroDivisionError) as caught:
+        _compile_attempt(1)(0.0, (0j,), 0.05, rhs(0.0, (0j,), None, 0.0), rhs, Line(0.0, 1.0), 0, 1e-12, 1e-10)
+    assert caught.value is pole
+    # in the march, the attempt is retried at a tenth of the step
+    calls, poles, ends = [], [pole], []
+    path = TimePath.from_points([0.0, 1.0])
+    cfg = IntegrationConfig(max_step=0.05)
+    assert _march(path, (0j,), cfg, rhs, lambda s, y, seg, sigma: ends.append(s)) == Termination.COMPLETED
+    assert ends[0] == 0.1 * 0.05 and ends[-1] == 1.0
 
 
 # ------------------------------------------------------- march terminations
