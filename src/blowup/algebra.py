@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 __all__ = [
-    "PRUNE_TOL",
     "BivariatePolynomial",
     "PlanarField",
     "ChartSystem",

@@ -43,6 +43,8 @@ _EPS = sys.float_info.epsilon
 _ABERTH_CAP = 100
 _NEWTON_CAP = 60
 _MAX_SCAN_ORDER = 1000
+_SPECTRAL_TOL = 1e-9
+_DENOMINATOR_BOUND = 50
 
 
 class DegenerateSystemError(ValueError):
@@ -59,18 +61,6 @@ class Domain:
 class Resonance:
     kind: str  # "Nonresonant" | "Resonant" | "Indeterminate"
     order: int | None = None
-
-    @staticmethod
-    def nonresonant() -> "Resonance":
-        return Resonance("Nonresonant")
-
-    @staticmethod
-    def resonant(order: int) -> "Resonance":
-        return Resonance("Resonant", order)
-
-    @staticmethod
-    def indeterminate() -> "Resonance":
-        return Resonance("Indeterminate")
 
 
 @dataclass(frozen=True)
@@ -374,22 +364,19 @@ def _eigen_2x2(J: tuple[tuple[complex, complex], tuple[complex, complex]]) -> tu
     return tuple(sorted((big, other), key=lambda v: (round(v.real, 12), round(v.imag, 12))))
 
 
-def classify_spectrum(
-    system: ChartSystem,
-    eq: EquilibriumRecord,
-    tol: float = 1e-9,
-    denominator_bound: int = 50,
-) -> EquilibriumRecord:
+def classify_spectrum(system: ChartSystem, eq: EquilibriumRecord) -> EquilibriumRecord:
     """Populate eigenvalues, domain, semisimplicity, and resonance of ``eq``.
 
-    Domain: Poincare when the segment [l1, l2] stays a distance
-    tol*max|l_i| away from 0, Siegel otherwise, Degenerate when an
-    eigenvalue is below tol times the larger of max|l_i| and the chart
-    field's largest coefficient.  Resonance for real quotients follows
-    the node rule (resonant iff the quotient or its reciprocal is an integer
-    >= 2) on the Poincare side and the saddle rule (every rational quotient
-    resonant) on the Siegel side; the saddle rule is a convention choice for
-    negative quotients and is flagged in the record notes.
+    With tol = ``_SPECTRAL_TOL``, the domain is Poincare when the segment
+    [l1, l2] stays a distance tol*max|l_i| away from 0, Siegel otherwise,
+    Degenerate when an eigenvalue is below tol times the larger of max|l_i|
+    and the chart field's largest coefficient.  A real quotient is rational
+    when a convergent with denominator at most ``_DENOMINATOR_BOUND`` lies
+    within tol of it.  Resonance for real quotients follows the node rule
+    (resonant iff the quotient or its reciprocal is an integer >= 2) on the
+    Poincare side and the saddle rule (every rational quotient resonant) on
+    the Siegel side; the saddle rule is a convention choice for negative
+    quotients and is flagged in the record notes.
     """
     fld = system.field(eq.chart)
     x0, y0 = eq.location
@@ -408,7 +395,7 @@ def classify_spectrum(
     else:
         (j00, j01), (j10, j11) = J
         semisimple = max(abs(j01), abs(j10), abs(j00 - j11)) < 1e-10 * scale
-    if min(abs(l1), abs(l2)) < tol * scale:
+    if min(abs(l1), abs(l2)) < _SPECTRAL_TOL * scale:
         domain = Domain.DEGENERATE
         return replace(
             eq,
@@ -416,28 +403,28 @@ def classify_spectrum(
             spectral_quotient=None,
             semisimple=semisimple,
             domain=domain,
-            resonance=Resonance.indeterminate(),
+            resonance=Resonance("Indeterminate"),
             notes=tuple(notes),
         )
     lam = l1 / l2
     seg_dist = _segment_distance_to_zero(l1, l2)
-    domain = Domain.POINCARE if seg_dist > tol * max(abs(l1), abs(l2)) else Domain.SIEGEL
+    domain = Domain.POINCARE if seg_dist > _SPECTRAL_TOL * max(abs(l1), abs(l2)) else Domain.SIEGEL
     rational: tuple[int, int] | None = None
-    if abs(lam.imag) > tol * max(1.0, abs(lam)):
-        resonance = Resonance.nonresonant()
+    if abs(lam.imag) > _SPECTRAL_TOL * max(1.0, abs(lam)):
+        resonance = Resonance("Nonresonant")
     else:
-        rational = rational_spectral_quotient(lam.real, tol, denominator_bound)
+        rational = rational_spectral_quotient(lam.real, _SPECTRAL_TOL, _DENOMINATOR_BOUND)
         if rational is None:
-            resonance = Resonance.indeterminate()
+            resonance = Resonance("Indeterminate")
         else:
             n1, n2 = rational
             if domain == Domain.POINCARE:
                 if (abs(n1) == 1 and n2 >= 2) or (n2 == 1 and abs(n1) >= 2):
-                    resonance = Resonance.resonant(max(abs(n1), n2))
+                    resonance = Resonance("Resonant", max(abs(n1), n2))
                 else:
-                    resonance = Resonance.nonresonant()
+                    resonance = Resonance("Nonresonant")
             else:
-                resonance = Resonance.resonant(abs(n1) + n2 + 1)
+                resonance = Resonance("Resonant", abs(n1) + n2 + 1)
                 notes.append("siegel-rational-convention: every rational saddle quotient reported resonant")
     return replace(
         eq,

@@ -118,6 +118,10 @@ class Line:
     start: complex
     end: complex
 
+    def __post_init__(self):
+        if not (cmath.isfinite(self.start) and cmath.isfinite(self.end)):
+            raise ValueError(f"line ends must be finite, got {self.start!r} and {self.end!r}")
+
     def point(self, sigma: float) -> complex:
         return self.start + (self.end - self.start) * sigma
 
@@ -143,6 +147,9 @@ class Arc:
     def __post_init__(self):
         if not 0.0 < self.radius < math.inf:  # also refuses NaN
             raise ValueError(f"arc radius must be finite and positive, got {self.radius!r}")
+        if not (cmath.isfinite(self.center) and math.isfinite(self.angle_from) and math.isfinite(self.angle_to)):
+            raise ValueError(f"arc centre and angles must be finite, got {self.center!r}, "
+                             f"{self.angle_from!r} and {self.angle_to!r}")
 
     def point(self, sigma: float) -> complex:
         ang = self.angle_from + (self.angle_to - self.angle_from) * sigma
@@ -194,25 +201,13 @@ class TimePath:
     def s_length(self) -> float:
         return float(len(self.segments) * self.cycles)
 
-    def locate(self, s: float) -> tuple[Segment, float]:
-        """Segment and local parameter sigma in [0,1] for global parameter s."""
+    def point(self, s: float) -> complex:
+        """Time at global parameter ``s``, clamped to [0, s_length]."""
         n = len(self.segments)
         total = n * self.cycles
         s = min(max(s, 0.0), total)
         idx = min(int(s), total - 1)
-        return self.segments[idx % n], s - idx
-
-    def segment_at(self, index: int) -> Segment:
-        """Segment for the unit interval [index, index+1] of the parameter."""
-        n = len(self.segments)
-        total = n * self.cycles
-        if not (0 <= index < total):
-            raise IndexError(f"segment index {index} outside [0, {total})")
-        return self.segments[index % n]
-
-    def point(self, s: float) -> complex:
-        seg, sigma = self.locate(s)
-        return seg.point(sigma)
+        return self.segments[idx % n].point(s - idx)
 
     @staticmethod
     def from_points(points: Sequence[complex], cycles: int = 1) -> "TimePath":
@@ -220,11 +215,8 @@ class TimePath:
         return TimePath(segs, cycles)
 
     @staticmethod
-    def circle(center: complex, radius: float, start_angle: float = 0.0, cycles: int = 1) -> "TimePath":
-        return TimePath(
-            (Arc(center, radius, start_angle, start_angle + 2.0 * math.pi),),
-            cycles,
-        )
+    def circle(center: complex, radius: float, cycles: int = 1) -> "TimePath":
+        return TimePath((Arc(center, radius, 0.0, 2.0 * math.pi),), cycles)
 
 
 class Termination(str, Enum):
@@ -360,7 +352,7 @@ def _march(
     while s < total - 1e-12:
         idx = min(int(math.floor(s + 1e-9)), int(total) - 1)
         s1 = min(idx + 1.0, total)
-        seg = path.segment_at(idx)
+        seg = path.segments[idx % len(path.segments)]
         span = s1 - s
         h = min(cfg.max_step, span / 10.0, span)
         prev_err = 1.0

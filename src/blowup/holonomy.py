@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 _HOLONOMY_CFG = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
+_FIT_SAMPLES = 20  # approach samples the blow-up time is fitted over
 
 
 class DetourError(RuntimeError):
@@ -130,7 +131,6 @@ def _fit_blowup_time(
     system: ChartSystem,
     approach: Trajectory,
     eq: EquilibriumRecord,
-    fit_samples: int = 20,
 ) -> tuple[complex, complex]:
     """Least squares (T, C) in t = T + C u^(m-1) over the approach tail.
 
@@ -138,7 +138,7 @@ def _fit_blowup_time(
     one-column fit C = sum conj(dp) dt / sum |dp|^2.
     """
     m1 = max(system.euler_exponent, 1)
-    tail = approach.samples[-fit_samples:]
+    tail = approach.samples[-_FIT_SAMPLES:]
     ts, us = [], []
     for smp in tail:
         try:
@@ -182,7 +182,7 @@ def masuda_detour(
         )
     if cycles < 1:
         raise ValueError("cycles must be positive")
-    T_est, C_fit = _fit_blowup_time(system, approach, blowup_eq, fit_samples=20)
+    T_est, C_fit = _fit_blowup_time(system, approach, blowup_eq)
     t_enter = approach.end.t
     gap = abs(t_enter - T_est)
     if loop_radius is None:

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import blowup.holonomy
-from blowup.cli import run_command
+from blowup.cli import dump_json, run_command
 from blowup.scenarios import catalog_names
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -43,6 +44,10 @@ def _error_line(capsys) -> dict:
                  id="detour-nan-ball"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--radius", "nan"],
                  id="detour-nan-radius"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--horizon", "nan"],
+                 id="detour-nan-horizon"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--horizon", "inf"],
+                 id="detour-inf-horizon"),
 ])
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
@@ -64,6 +69,13 @@ _LINE = {"type": "line", "from": [0, 0], "to": [1, 0]}
     pytest.param("portrait", {**_SPEC, "grid": []}, id="portrait-grid-not-an-object"),
     pytest.param("portrait", {**_SPEC, "max_step": [0.1]}, id="portrait-max-step-list"),
     pytest.param("portrait", {**_SPEC, "max_step": math.nan}, id="portrait-max-step-nan"),
+    pytest.param("portrait", {**_SPEC, "horizon": math.nan}, id="portrait-horizon-nan"),
+    pytest.param("portrait", {**_SPEC, "grid": {"re": [0.1, 0.2, 2.5], "im": [0.0, 0.0, 1]}},
+                 id="portrait-grid-count-not-whole"),
+    pytest.param("integrate", {"segments": [{"type": "line", "from": [0, 0], "to": [math.nan, 0]}]},
+                 id="path-line-nan-end"),
+    pytest.param("integrate", {"segments": [{"type": "arc", "center": [math.nan, 0], "radius": 0.4,
+                                             "angle_from": 0, "angle_to": 1}]}, id="path-arc-nan-centre"),
     pytest.param("classify", {"H": [[2, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]], "level": ["a", 0]},
                  id="system-level-text"),
     pytest.param("classify", {**_FIELD, "parameters": [1]}, id="system-parameters-list"),
@@ -177,6 +189,16 @@ def test_portrait_has_no_jobs_option(tmp_path):
             "--reproducible"]
     assert run_command(argv) == 0
     assert run_command(argv + ["--jobs", "2"]) == 2
+
+
+@pytest.mark.parametrize("value, plain", [
+    (0.1, 0.1), (1 / 3, 1 / 3), (5e-324, 5e-324), (-0.0, -0.0), (1e16, 1e16),
+    (complex(0.1, -1e16), [0.1, -1e16]), (Fraction(-3, 7), [-3, 7]),
+    (math.inf, "Infinity"), (-math.inf, "-Infinity"),
+])
+def test_dump_json_round_trips_value_and_type(value, plain):
+    # repr tells 1e16 from 10**16 and -0.0 from 0.0, which == does not
+    assert repr(json.loads(dump_json(value))) == repr(plain)
 
 
 def _validators() -> dict:

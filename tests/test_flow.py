@@ -70,6 +70,16 @@ def test_arc_radius_must_be_finite_and_positive(bad):
         Arc(0.0, bad, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_segment_ends_must_be_finite(bad):
+    # a NaN time once ran the whole path as one StepUnderflow
+    for make in (lambda: Line(0.0, bad), lambda: Line(complex(0.0, bad), 1.0),
+                 lambda: Arc(complex(0.0, bad), 1.0, 0.0, 1.0),
+                 lambda: Arc(0.0, 1.0, bad, 1.0), lambda: Arc(0.0, 1.0, 0.0, bad)):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+
 # ---------------------------------------------------------------- TimePath
 
 def test_path_segments_must_join():

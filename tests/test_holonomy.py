@@ -100,8 +100,8 @@ def test_multiplier_of_a_nonlinear_fiber_is_exp_2_pi_i_lambda(name, params, inde
     # fields are nonlinear in the fiber, in both charts, and some of the
     # points are not semisimple
     from blowup.cli import classified_equilibria
-    sys, recs = classified_equilibria(catalog_get(name, params).system)
-    eq = recs[index]
+    sys = to_charts(catalog_get(name, params).system)
+    eq = classified_equilibria(sys)[index]
     assert eq.chart in (Chart.UZ, Chart.VW) and eq.spectral_quotient is not None
     est = holonomy_multiplier(sys, eq, base_radius=0.1)
     assert abs(est.multiplier - cmath.exp(2j * math.pi * eq.spectral_quotient)) < 1e-12

@@ -204,8 +204,8 @@ def test_degenerate_record_is_resonant_at_order_two():
 
 def _galerkin_asymmetric_eq0(b1, b3):
     """Equilibrium 0 in the order the CLI's ``--eq`` counts."""
-    sys, recs = classified_equilibria(catalog_get("galerkin_asymmetric", {"b1": b1, "b3": b3}).system)
-    return sys, recs[0]
+    sys = to_charts(catalog_get("galerkin_asymmetric", {"b1": b1, "b3": b3}).system)
+    return sys, classified_equilibria(sys)[0]
 
 
 def test_galerkin_asymmetric_linearizes_at_order_13():
