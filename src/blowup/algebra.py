@@ -10,6 +10,7 @@ inflate the degree.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -87,11 +88,23 @@ class BivariatePolynomial:
         return self + other.scaled(-1.0)
 
     def __mul__(self, other: "BivariatePolynomial") -> "BivariatePolynomial":
+        return self._product(other, math.inf)
+
+    def _product(self, other: "BivariatePolynomial", max_degree: float) -> "BivariatePolynomial":
+        """``(self * other).truncated(max_degree)``, bit for bit, without forming
+        a pair of terms whose total degree exceeds ``max_degree``.
+
+        Each kept key is fed by the same pairs, in the same order, as in the
+        full product, and pruning is per key, so nothing kept can change.
+        """
+        right = [(j2, k2, j2 + k2, c2) for (j2, k2), c2 in other.terms.items()]
         terms: dict[tuple[int, int], complex] = {}
         for (j1, k1), c1 in self.terms.items():
-            for (j2, k2), c2 in other.terms.items():
-                jk = (j1 + j2, k1 + k2)
-                terms[jk] = terms.get(jk, 0.0) + c1 * c2
+            room = max_degree - j1 - k1
+            for j2, k2, d2, c2 in right:
+                if d2 <= room:
+                    jk = (j1 + j2, k1 + k2)
+                    terms[jk] = terms.get(jk, 0.0) + c1 * c2
         return BivariatePolynomial(terms)
 
     def scaled(self, c: complex) -> "BivariatePolynomial":
@@ -129,24 +142,24 @@ class BivariatePolynomial:
     ) -> "BivariatePolynomial":
         """Substitute (x, y) -> (first, second), optionally truncating the result.
 
-        Powers are built incrementally and truncated as we go, so truncated
-        composition stays cheap even at normal-form orders.
+        Every product, of the powers and of x- by y-powers, skips the pairs
+        of terms above ``max_degree`` and never forms them, so truncated
+        composition stays cheap even at normal-form orders.  The result is
+        ``self.compose(first, second).truncated(max_degree)`` bit for bit.
         """
+        bound = math.inf if max_degree is None else max_degree
         one = BivariatePolynomial({(0, 0): 1.0})
         x_pows = [one]
         y_pows = [one]
         max_j = max((j for j, _ in self.terms), default=0)
         max_k = max((k for _, k in self.terms), default=0)
         for _ in range(max_j):
-            nxt = x_pows[-1] * first
-            x_pows.append(nxt.truncated(max_degree) if max_degree is not None else nxt)
+            x_pows.append(x_pows[-1]._product(first, bound))
         for _ in range(max_k):
-            nxt = y_pows[-1] * second
-            y_pows.append(nxt.truncated(max_degree) if max_degree is not None else nxt)
+            y_pows.append(y_pows[-1]._product(second, bound))
         acc = BivariatePolynomial({})
         for (j, k), c in self.terms.items():
-            term = (x_pows[j] * y_pows[k]).scaled(c)
-            acc = acc + (term.truncated(max_degree) if max_degree is not None else term)
+            acc = acc + x_pows[j]._product(y_pows[k], bound).scaled(c)
         return acc
 
     def shifted(self, x0: complex, y0: complex) -> "BivariatePolynomial":

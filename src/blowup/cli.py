@@ -194,7 +194,10 @@ def load_path_file(path: str) -> TimePath:
             raise CliValidationError(f"segments[{i}]: type must be line or arc")
     if not segs:
         raise CliValidationError("path file has no segments")
-    return TimePath(tuple(segs), int(_real(doc.get("cycles", 1), "cycles")))
+    cycles = _real(doc.get("cycles", 1), "cycles")
+    if not (cycles >= 1 and cycles.is_integer()):
+        raise CliValidationError("cycles must be a whole number of at least 1")
+    return TimePath(tuple(segs), int(cycles))
 
 
 def _real(val, what: str) -> float:

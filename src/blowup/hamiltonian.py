@@ -1,16 +1,8 @@
-"""Hamiltonian structure: fields from polynomial Hamiltonians, compactified
-energies in all three charts, drift monitoring, and the pendulum loop test.
+"""Hamiltonian structure: fields from polynomial Hamiltonians and the
+pendulum loop test.
 
-A polynomial H of degree m+1 generates the degree-m field (H_y, -H_x).  The
-level set H = c compactifies chartwise to polynomials
-
-    H_xy = H - c,
-    H_uz = u^(m+1) H(1/u, z/u) - c u^(m+1),
-    H_vw = v^(m+1) H(w/v, 1/v) - c v^(m+1),
-
-which all vanish along the leaf; the drift of these quantities along a
-computed trajectory measures integration quality in whichever chart the
-state happens to live.
+A polynomial H of degree m+1 generates the degree-m field (H_y, -H_x), along
+whose complex-time leaves H is constant.
 
 The pendulum loop test traces the energy-zero leaf of H = y^2/2 - G(x)
 around the totally degenerate equilibrium v = w = 0 at infinity.  With the
@@ -26,15 +18,13 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from blowup.algebra import BivariatePolynomial, Chart, PlanarField
-from blowup.flow import Trajectory, winding_number
+from blowup.algebra import BivariatePolynomial, PlanarField
+from blowup.flow import winding_number
 
 __all__ = [
     "PolynomialHamiltonian",
     "DegenerateLeadingTermError",
     "hamiltonian_field",
-    "compactify_energy",
-    "energy_drift",
     "pendulum_loop_windings",
 ]
 
@@ -63,32 +53,6 @@ class PolynomialHamiltonian:
 def hamiltonian_field(ham: PolynomialHamiltonian) -> PlanarField:
     """The field (H_y, -H_x); H is constant along its complex-time leaves."""
     return PlanarField(ham.H.partial_y(), ham.H.partial_x().scaled(-1.0))
-
-
-def compactify_energy(ham: PolynomialHamiltonian) -> dict[str, BivariatePolynomial]:
-    """Chart versions of the shifted energy H - c, all polynomial.
-
-    The blow-up charts carry the level as c*u^(m+1) (resp. c*v^(m+1)), so a
-    trajectory stays on the zero set of each output in its own chart.
-    """
-    m = ham.field_degree
-    H = ham.H
-    c = complex(ham.level_c)
-    level = BivariatePolynomial({(0, 0): c})
-    h_xy = H - level
-    h_uz = H.reversed_uz(m + 1) - BivariatePolynomial({(m + 1, 0): c})
-    h_vw = H.reversed_vw(m + 1) - BivariatePolynomial({(m + 1, 0): c})
-    return {Chart.XY: h_xy, Chart.UZ: h_uz, Chart.VW: h_vw}
-
-
-def energy_drift(ham: PolynomialHamiltonian, trajectory: Trajectory) -> float:
-    """Max deviation of the chart-appropriate compactified energy from 0."""
-    charts = compactify_energy(ham)
-    worst = 0.0
-    for smp in trajectory.samples:
-        val = charts[smp.chart](smp.coords[0], smp.coords[1])
-        worst = max(worst, abs(val))
-    return worst
 
 
 def _potential_from_coeffs(g_coeffs: list[complex]) -> list[complex]:
@@ -159,7 +123,7 @@ def _trace_pendulum_loop(g, G, m, G0, theta_radius):
     span = 2.0 * math.pi if m % 2 == 0 else math.pi
     thetas = [theta_radius * cmath.exp(1j * span * k / n) for k in range(n + 1)]
     relation = _energy_relation(G, m)
-    rel_v = relation.partial_x()
+    relation_and_dv = PlanarField(relation, relation.partial_x())
     a = (2.0 * G0) ** (1.0 / (m - 1.0))
 
     vs: list[complex] = []
@@ -167,7 +131,7 @@ def _trace_pendulum_loop(g, G, m, G0, theta_radius):
     v = a * thetas[0] ** (m + 1)
     for th in thetas:
         w = th ** (m - 1)
-        v = _newton_track(relation, rel_v, v_guess=v if vs else a * th ** (m + 1), w=w)
+        v = _newton_track(relation_and_dv, v_guess=v if vs else a * th ** (m + 1), w=w)
         vs.append(v)
         ws.append(w)
 
@@ -180,7 +144,7 @@ def _trace_pendulum_loop(g, G, m, G0, theta_radius):
         for node in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
             th = thetas[k] * (thetas[k + 1] / thetas[k]) ** node
             w = th ** (m - 1)
-            v = _newton_track(relation, rel_v, v_guess=(vs[k] + vs[k + 1]) / 2.0, w=w)
+            v = _newton_track(relation_and_dv, v_guess=(vs[k] + vs[k + 1]) / 2.0, w=w)
             wdot = v ** (m - 1) - w * _v_pow_g(v, w, g, m)
             dw = (m - 1) * (thetas[k + 1] - thetas[k]) * th ** (m - 2)
             t_incr += 0.5 * v ** (m - 1) / wdot * dw
@@ -200,18 +164,22 @@ def _v_pow_g(v, w, g, m):
     return sum(gj * w**j * v ** (m - j) for j, gj in enumerate(g))
 
 
-def _newton_track(relation, rel_v, v_guess, w):
+def _newton_track(relation_and_dv: PlanarField, v_guess: complex, w: complex) -> complex:
+    """Newton's method in v on the energy relation E(v, w) = 0 at fixed w.
+
+    ``relation_and_dv`` is the pair (E, dE/dv) as one compiled field, so each
+    iterate evaluates both in one call.
+    """
     v = v_guess
     for _ in range(40):
-        val = relation(v, w)
-        der = rel_v(v, w)
+        val, der = relation_and_dv(v, w)
         if abs(der) < 1e-300:
             raise ArithmeticError("tangential branch point while tracking the leaf")
         step = val / der
         v = v - step
         if abs(step) < 1e-15 * max(abs(v), 1e-30):
             return v
-    if abs(relation(v, w)) > 1e-10 * max(1.0, abs(v)):
+    if abs(relation_and_dv(v, w)[0]) > 1e-10 * max(1.0, abs(v)):
         raise ArithmeticError("leaf tracking did not converge")
     return v
 

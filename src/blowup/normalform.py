@@ -23,7 +23,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from blowup.algebra import BivariatePolynomial, ChartSystem, jacobian, solve_2x2
+from blowup.algebra import BivariatePolynomial, ChartSystem, PlanarField, jacobian, solve_2x2
 from blowup.equilibria import Domain, EquilibriumRecord, small_divisor_scan
 
 __all__ = [
@@ -239,16 +239,16 @@ def conjugacy_residual(
     rng = random.Random(_RESIDUAL_SEED)
     samples = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.0))
                for _ in range(_RESIDUAL_SAMPLES)]
-    psi = transform.components
-    dpsi = ((psi[0].partial_x(), psi[0].partial_y()), (psi[1].partial_x(), psi[1].partial_y()))
+    # Psi, the field and the two rows of DPsi, each compiled once
+    psi = PlanarField(*transform.components)
+    field = PlanarField(*local)
+    dpsi = [PlanarField(p.partial_x(), p.partial_y()) for p in transform.components]
     maxima = []
     for r in radii:
         worst = 0.0
         for a1, a2, sc in samples:
             pt = (r * sc * cmath.exp(1j * a1), r * sc * cmath.exp(1j * a2))
-            img = (psi[0](pt[0], pt[1]), psi[1](pt[0], pt[1]))
-            vec = (local[0](img[0], img[1]), local[1](img[0], img[1]))
-            pulled = solve_2x2([[d(pt[0], pt[1]) for d in row] for row in dpsi], vec)
+            pulled = solve_2x2([row(*pt) for row in dpsi], field(*psi(*pt)))
             worst = max(worst, abs(pulled[0] - l1 * pt[0]), abs(pulled[1] - l2 * pt[1]))
         maxima.append(worst)
     if max(maxima) < _ROUNDOFF_FLOOR:

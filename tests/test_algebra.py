@@ -303,3 +303,58 @@ def test_field_is_compiled_once_per_instance(monkeypatch):
         twin(0.5, 0.25j)
     assert len(compiled) == 2
     assert fld == twin
+
+
+# ------------------------------------------------- truncated composition
+
+def _sparse_poly(rng: random.Random, constant: bool) -> BivariatePolynomial:
+    terms = {}
+    for _ in range(rng.randrange(1, 7)):
+        d = rng.randrange(1, 6)
+        j = rng.randrange(d + 1)
+        # some coefficients sit a few PRUNE_TOL from the pruning threshold
+        scale = rng.choice([1.0, 1.0, 3 * blowup.algebra.PRUNE_TOL])
+        terms[(j, d - j)] = scale * complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
+    if constant:
+        terms[(0, 0)] = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    return BivariatePolynomial(terms)
+
+
+def _term_bits(p: BivariatePolynomial) -> list:
+    return [(jk, _bits([c])) for jk, c in p.terms.items()]
+
+
+def _reference_compose(p, a, b, n):
+    """``compose`` as first written: each product formed in full, then truncated."""
+    def mul(q, r):
+        terms = {}
+        for (j1, k1), c1 in q.terms.items():
+            for (j2, k2), c2 in r.terms.items():
+                jk = (j1 + j2, k1 + k2)
+                terms[jk] = terms.get(jk, 0.0) + c1 * c2
+        return BivariatePolynomial(terms)
+
+    x_pows, y_pows = [P([(0, 0, 1.0)])], [P([(0, 0, 1.0)])]
+    for _ in range(max(j for j, _ in p.terms)):
+        x_pows.append(mul(x_pows[-1], a).truncated(n))
+    for _ in range(max(k for _, k in p.terms)):
+        y_pows.append(mul(y_pows[-1], b).truncated(n))
+    acc = BivariatePolynomial({})
+    for (j, k), c in p.terms.items():
+        acc = acc + mul(x_pows[j], y_pows[k]).scaled(c).truncated(n)
+    return acc
+
+
+def test_truncated_compose_is_the_truncated_full_composition_bit_for_bit():
+    # the coefficients and the key order both; the normal-form reports rest on this
+    rng = random.Random(12)
+    for _ in range(60):
+        p = _sparse_poly(rng, constant=rng.random() < 0.3)
+        a = _sparse_poly(rng, constant=rng.random() < 0.5)
+        b = _sparse_poly(rng, constant=rng.random() < 0.5)
+        full = p.compose(a, b)
+        for n in range(2, 9):
+            kept = p.compose(a, b, max_degree=n)
+            assert list(kept.terms.items()) == list(full.truncated(n).terms.items())
+            # bit patterns too, so -0.0 counts
+            assert _term_bits(kept) == _term_bits(full.truncated(n)) == _term_bits(_reference_compose(p, a, b, n))

@@ -92,6 +92,17 @@ def test_malformed_input_file_is_a_validation_error(command, doc, tmp_path, caps
     assert _error_line(capsys)["error"] == "validation"
 
 
+@pytest.mark.parametrize("cycles", ["1.5", "1e400", "0"])
+def test_path_cycles_must_be_a_whole_number_of_at_least_1(cycles, tmp_path, capsys):
+    # written as text: 1e400 reads back as inf, which json.dumps cannot write as a number
+    file = tmp_path / "path.json"
+    file.write_text('{"segments": [{"type": "arc", "center": [1, 0], "radius": 0.4, "angle_from": 0, '
+                    f'"angle_to": {2 * math.pi!r}}}], "cycles": {cycles}}}')
+    argv = ["integrate", "catalog:scalar_poly?m=2", "--path", str(file), "--start", "0.5,0"]
+    assert run_command(argv) == 2
+    assert _error_line(capsys)["error"] == "validation"
+
+
 def test_integrate_detours_around_the_pole_into_the_blowup_chart(tmp_path, capsys):
     # x' = x^2 from x(0) = 1 is x(t) = 1/(1 - t): along 0 -> 0.6 and then
     # over the pole at t = 1 to t = 1.4, x = -2.5, which is u = -0.4 in UZ

