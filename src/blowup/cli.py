@@ -53,13 +53,7 @@ from blowup.flow import (
     integrate_path,
 )
 from blowup.hamiltonian import PolynomialHamiltonian, hamiltonian_field, pendulum_loop_windings
-from blowup.holonomy import (
-    DetourError,
-    approach_blowup,
-    blowup_star,
-    holonomy_multiplier,
-    masuda_detour,
-)
+from blowup.holonomy import approach_blowup, blowup_star, holonomy_multiplier, masuda_detour
 from blowup.normalform import conjugacy_residual, poincare_linearize
 from blowup.scenarios import catalog_get, catalog_names, tree_count
 
@@ -124,7 +118,7 @@ def parse_system_file(path: str) -> PlanarField | PolynomialHamiltonian:
     if "f" not in doc or "g" not in doc:
         raise CliValidationError("system file needs either f and g, or H")
     params = doc.get("parameters", {})
-    if not isinstance(params, dict) or any(not isinstance(v, (int, float)) for v in params.values()):
+    if not isinstance(params, dict) or any(not _is_number(v) for v in params.values()):
         raise CliValidationError("user files must carry fully numeric parameters")
     return PlanarField(_poly_from_rows(doc["f"], "f"), _poly_from_rows(doc["g"], "g"))
 
@@ -137,9 +131,9 @@ def _poly_from_rows(rows, name: str) -> BivariatePolynomial:
         if not (isinstance(row, list) and len(row) == 4):
             raise CliValidationError(f"{name}[{i}] must be [j, k, re, im]")
         j, k, re, im = row
-        if not (isinstance(j, int) and isinstance(k, int)) or j < 0 or k < 0:
+        if not (type(j) is int and type(k) is int) or j < 0 or k < 0:  # bool subclasses int
             raise CliValidationError(f"{name}[{i}]: exponents must be nonnegative integers, got {j}, {k}")
-        if not all(isinstance(v, (int, float)) for v in (re, im)):
+        if not all(_is_number(v) for v in (re, im)):
             raise CliValidationError(f"{name}[{i}]: coefficients must be numeric")
         entries.append((j, k, complex(re, im)))
     return BivariatePolynomial.from_coeffs(entries)
@@ -200,8 +194,13 @@ def load_path_file(path: str) -> TimePath:
     return TimePath(tuple(segs), int(cycles))
 
 
+def _is_number(val) -> bool:
+    """A JSON number; ``bool`` subclasses ``int``, but ``true`` is not 1 here."""
+    return isinstance(val, (int, float)) and not isinstance(val, bool)
+
+
 def _real(val, what: str) -> float:
-    if not isinstance(val, (int, float)):
+    if not _is_number(val):
         raise CliValidationError(f"{what} must be a number")
     return float(val)
 
@@ -292,15 +291,10 @@ def cmd_detour(args) -> None:
     # the loop runs at these tolerances; masuda_detour caps its step and sets its own ball
     cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, singularity_radius=args.ball)
     approach = approach_blowup(csys, start, rec, horizon=args.horizon, cfg=cfg)
-    if approach.terminated_reason != Termination.ENTERED_SINGULARITY_BALL:
-        raise DetourError(
-            f"approach did not reach the singularity ball ({approach.terminated_reason.value}); "
-            "adjust --start/--horizon/--ball"
-        )
     report = masuda_detour(csys, rec, approach, loop_radius=args.radius, cycles=args.cycles, cfg=cfg)
     doc = {**head, **asdict(report)}
     if report.closed and args.star:
-        doc["star"] = blowup_star(csys, rec, report)
+        doc["star"] = blowup_star(csys, report)
     _emit(args, doc)
 
 
@@ -373,8 +367,14 @@ def load_portrait_spec(path: str) -> dict:
         raise CliValidationError("grid needs re and im as [from, to, count] triples")
     for val in grid["re"] + grid["im"]:
         _real(val, "grid")
-    if not isinstance(doc.get("styling", {}), dict):
+    if grid.get("coordinate", "first") not in ("first", "second"):
+        raise CliValidationError("grid.coordinate must be first or second")
+    styling = doc.get("styling", {})
+    if not isinstance(styling, dict):
         raise CliValidationError("styling must be an object")
+    stroke = styling.get("stroke", "")
+    if not isinstance(stroke, str) or any(c in stroke for c in "<>&\"'"):
+        raise CliValidationError("styling.stroke must be a string without <, >, &, or quotes")
     return doc
 
 

@@ -177,9 +177,7 @@ def masuda_detour(
     approach endpoint to the estimated blow-up time.
     """
     if approach.terminated_reason != Termination.ENTERED_SINGULARITY_BALL:
-        raise DetourError(
-            f"approach must end inside the singularity ball, got {approach.terminated_reason}"
-        )
+        raise DetourError(f"approach did not reach the singularity ball ({approach.terminated_reason.value})")
     if cycles < 1:
         raise ValueError("cycles must be positive")
     T_est, C_fit = _fit_blowup_time(system, approach, blowup_eq)
@@ -190,46 +188,28 @@ def masuda_detour(
     if loop_radius >= gap:
         raise DetourError(f"loop radius {loop_radius:.3g} reaches past the approach endpoint (|t-T| = {gap:.3g})")
 
-    m1 = max(system.euler_exponent, 1)
-    a_u = _principal_inverse_root(C_fit, m1)
-
     entry_state = chart_point(approach.end.coords, approach.end.chart, blowup_eq.chart)
     phase = cmath.phase(t_enter - T_est)
     circle = TimePath((Arc(T_est, loop_radius, phase, phase + 2.0 * math.pi),))  # refuses a bad radius
     circle_entry = T_est + loop_radius * cmath.exp(1j * phase)
 
     base_cfg = cfg or IntegrationConfig()
-    expected_u = abs(loop_radius / C_fit) ** (1.0 / m1)
+    m1 = max(system.euler_exponent, 1)
+    expected_u = abs(loop_radius / C_fit) ** (1.0 / m1)  # raises on C = 0 before the log below
+    a_u = cmath.exp(-cmath.log(C_fit) / m1)  # principal C^(-1/(m-1)): the loop's fiber direction scale
     guard = replace(base_cfg, max_step=min(base_cfg.max_step, 0.02), singularity_radius=0.05 * expected_u)
 
     # transport leg: radially from t_enter to the circle.
-    leg = TimePath((Line(t_enter, circle_entry),))
-    moved = integrate_path(system, blowup_eq.chart, entry_state, leg, guard,
-                           designated_equilibrium=(blowup_eq.chart, blowup_eq.location))
-    if moved.terminated_reason == Termination.ENTERED_SINGULARITY_BALL:
-        raise LoopHitsSingularityError("transport leg fell into the singularity ball")
-    if moved.terminated_reason != Termination.COMPLETED:
-        raise DetourError(f"transport leg failed: {moved.terminated_reason}")
-    state = chart_point(moved.end.coords, moved.end.chart, blowup_eq.chart)
-    start_state = state
-
+    _, start_state = _lifted_run(system, blowup_eq, entry_state, TimePath((Line(t_enter, circle_entry),)),
+                                 guard, "transport leg")
+    state = start_state
     per_cycle: list[float] = []
-    t_samples: list[complex] = []
-    u_samples: list[complex] = []
-    z_samples: list[complex] = []
-    for _ in range(cycles):
-        run = integrate_path(system, blowup_eq.chart, state, circle, guard,
-                             designated_equilibrium=(blowup_eq.chart, blowup_eq.location))
-        if run.terminated_reason == Termination.ENTERED_SINGULARITY_BALL:
-            raise LoopHitsSingularityError("lifted loop entered the singularity ball")
-        if run.terminated_reason != Termination.COMPLETED:
-            raise DetourError(f"loop integration failed: {run.terminated_reason}")
+    trace: list[complex] = []  # t, u, z of every cycle's samples, one triple after another
+    for cycle in range(1, cycles + 1):
+        run, state = _lifted_run(system, blowup_eq, state, circle, guard, f"loop cycle {cycle}")
         for smp in run.samples:
-            here = chart_point(smp.coords, smp.chart, blowup_eq.chart)
-            t_samples.append(smp.t)
-            u_samples.append(here[0])
-            z_samples.append(here[1])
-        state = chart_point(run.end.coords, run.end.chart, blowup_eq.chart)
+            trace.append(smp.t)
+            trace.extend(chart_point(smp.coords, smp.chart, blowup_eq.chart))
         per_cycle.append(_state_gap(state, start_state))
 
     discrepancy = per_cycle[-1]
@@ -238,9 +218,9 @@ def masuda_detour(
     closed = discrepancy < threshold
 
     windings = {
-        "w_t": _try_winding(t_samples, T_est),
-        "w_u": _try_winding(u_samples, blowup_eq.location[0]),
-        "w_z": _try_winding(z_samples, blowup_eq.location[1]),
+        "w_t": _try_winding(trace[0::3], T_est),
+        "w_u": _try_winding(trace[1::3], blowup_eq.location[0]),
+        "w_z": _try_winding(trace[2::3], blowup_eq.location[1]),
     }
     if closed:
         missing = [k for k, v in windings.items() if v is None]
@@ -272,6 +252,28 @@ def masuda_detour(
     )
 
 
+def _lifted_run(
+    system: ChartSystem,
+    eq: EquilibriumRecord,
+    state: tuple[complex, complex],
+    path: TimePath,
+    cfg: IntegrationConfig,
+    what: str,
+) -> tuple[Trajectory, tuple[complex, complex]]:
+    """Run ``path`` in ``eq``'s chart and lift the end state into that chart.
+
+    The one integrate-and-check of a detour, shared by its transport leg and
+    every cycle: entering the singularity ball raises
+    ``LoopHitsSingularityError``, any other early end ``DetourError``.
+    """
+    run = integrate_path(system, eq.chart, state, path, cfg, designated_equilibrium=(eq.chart, eq.location))
+    if run.terminated_reason == Termination.ENTERED_SINGULARITY_BALL:
+        raise LoopHitsSingularityError(f"{what} entered the singularity ball")
+    if run.terminated_reason != Termination.COMPLETED:
+        raise DetourError(f"{what} ended early: {run.terminated_reason.value}")
+    return run, chart_point(run.end.coords, run.end.chart, eq.chart)
+
+
 def _state_gap(a: tuple[complex, complex], b: tuple[complex, complex]) -> float:
     return math.hypot(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
@@ -290,13 +292,6 @@ def _try_winding(samples: list[complex], center: complex) -> int | None:
         return winding_number(closed, center)
     except (NotClosedError, TooCoarseError):
         return None
-
-
-def _principal_inverse_root(C: complex, k: int) -> complex:
-    """Principal value of C^(-1/k); the fiber direction scale of the loop."""
-    if C == 0:
-        return complex("nan")
-    return cmath.exp(-cmath.log(C) / k)
 
 
 def holonomy_multiplier(
@@ -356,7 +351,7 @@ def holonomy_multiplier(
     return HolonomyEstimate(multiplier=multiplier, predicted=predicted, deviation=deviation)
 
 
-def blowup_star(system: ChartSystem, blowup_eq: EquilibriumRecord, report: DetourReport) -> list[dict]:
+def blowup_star(system: ChartSystem, report: DetourReport) -> list[dict]:
     """Real-time blow-up and blow-down directions attached to a closed loop.
 
     From t - T = C u^(m-1): incoming real-time branches (t < T) sit where

@@ -79,6 +79,17 @@ _LINE = {"type": "line", "from": [0, 0], "to": [1, 0]}
     pytest.param("classify", {"H": [[2, 0, 1.0, 0.0], [0, 2, 1.0, 0.0]], "level": ["a", 0]},
                  id="system-level-text"),
     pytest.param("classify", {**_FIELD, "parameters": [1]}, id="system-parameters-list"),
+    # bool subclasses int, but a JSON true is not the number 1
+    pytest.param("integrate", {"segments": [_LINE], "cycles": True}, id="path-cycles-true"),
+    pytest.param("integrate", {"segments": [{"type": "arc", "center": [1, 0], "radius": True,
+                                             "angle_from": 0, "angle_to": 1}]}, id="path-arc-radius-true"),
+    pytest.param("classify", {"f": [[2, 0, 1.0, 0.0]], "g": [[0, True, -1.0, 0.0]]}, id="system-exponent-true"),
+    pytest.param("classify", {"f": [[2, 0, True, 0.0]], "g": [[0, 1, -1.0, 0.0]]},
+                 id="system-coefficient-true"),
+    pytest.param("classify", {**_FIELD, "parameters": {"a": True}}, id="system-parameter-true"),
+    pytest.param("portrait", {**_SPEC, "grid": {**_SPEC["grid"], "coordinate": "frist"}},
+                 id="portrait-coordinate-misspelt"),
+    pytest.param("portrait", {**_SPEC, "styling": {"stroke": 1}}, id="portrait-stroke-number"),
 ])
 def test_malformed_input_file_is_a_validation_error(command, doc, tmp_path, capsys):
     file = tmp_path / "input.json"
@@ -175,6 +186,30 @@ def test_module_entry_point_exits_with_the_command_code(argv, code):
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == code
     assert json.loads(done.stdout if code == 0 else done.stderr)
+
+
+def test_portrait_stroke_cannot_carry_markup(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    stem = tmp_path / "p"
+    argv = ["portrait", "catalog:riccati", "--portrait", str(spec), "--output", str(stem), "--reproducible"]
+    spec.write_text(json.dumps({**_SPEC, "styling": {"stroke": '"/><script>alert(1)</script><x a="'}}))
+    assert run_command(argv) == 2
+    assert _error_line(capsys)["error"] == "validation"
+    assert not Path(f"{stem}.svg").exists()
+    spec.write_text(json.dumps({**_SPEC, "styling": {"stroke": "#c00"}}))
+    assert run_command(argv) == 0
+    assert Path(f"{stem}.svg").read_text().count('stroke="#c00"') == 2  # one polyline per seed
+
+
+def test_approach_that_misses_the_ball_names_its_reason(capsys):
+    # off the invariant line the approach to galerkin_symmetric's Siegel saddle
+    # never enters the ball: the step size underflows first
+    argv = ["detour", "catalog:galerkin_symmetric?a=2", "--eq", "0", "--cycles", "1", "--start", "1,0.01"]
+    assert run_command(argv) == 3
+    err = _error_line(capsys)
+    assert err["error"] == "numerical"
+    assert "StepUnderflow" in err["message"]
+    assert "Termination." not in err["message"]
 
 
 def test_winding_law_violation_exits_numerical(monkeypatch, capsys):

@@ -3,11 +3,13 @@ import math
 
 import pytest
 
+import blowup.holonomy
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.equilibria import classify_spectrum, find_equilibria
-from blowup.flow import IntegrationConfig, Termination, TimePath
+from blowup.flow import IntegrationConfig, Termination, TimePath, Trajectory
 from blowup.holonomy import (
     DetourError,
+    LoopHitsSingularityError,
     NoInvariantFiberError,
     NotClosedReportError,
     approach_blowup,
@@ -254,12 +256,39 @@ def test_loop_radius_past_endpoint_rejected():
         masuda_detour(sys, eq, approach, loop_radius=10.0, cycles=1, cfg=LOOP_CFG)
 
 
+@pytest.mark.parametrize("failing_call, what", [(1, "transport leg"), (3, "loop cycle 2")])
+@pytest.mark.parametrize("reason, error", [
+    (Termination.ENTERED_SINGULARITY_BALL, LoopHitsSingularityError),
+    (Termination.STEP_UNDERFLOW, DetourError),
+])
+def test_leg_and_cycle_failures_map_to_typed_errors(failing_call, what, reason, error, monkeypatch):
+    # the leg is the detour's first integrate_path call and cycle k its (k+1)-th
+    sys, eq, approach, gap = scalar_power_detour(2, 3)
+    calls = []
+    real = blowup.holonomy.integrate_path
+
+    def failing(*args, **kwargs):
+        run = real(*args, **kwargs)
+        calls.append(run)
+        return Trajectory(run.samples, reason) if len(calls) == failing_call else run
+
+    monkeypatch.setattr(blowup.holonomy, "integrate_path", failing)
+    with pytest.raises(error) as caught:
+        masuda_detour(sys, eq, approach, loop_radius=0.5 * gap, cycles=3, cfg=LOOP_CFG)
+    assert type(caught.value) is error
+    assert len(calls) == failing_call
+    assert str(caught.value).startswith(what)
+    if reason == Termination.STEP_UNDERFLOW:
+        assert "StepUnderflow" in str(caught.value)
+        assert "Termination." not in str(caught.value)
+
+
 # -------------------------------------------------------------- blowup_star
 
 def test_star_riccati_antipodal_branches():
     sys, eq, approach, gap = scalar_power_detour(2, 1)
     report = masuda_detour(sys, eq, approach, loop_radius=0.5 * gap, cycles=1, cfg=LOOP_CFG)
-    branches = blowup_star(sys, eq, report)
+    branches = blowup_star(sys, report)
     ups = [b["direction"] for b in branches if b["kind"] == "BlowUp"]
     downs = [b["direction"] for b in branches if b["kind"] == "BlowDown"]
     assert len(ups) == len(downs) == 1
@@ -270,7 +299,7 @@ def test_star_riccati_antipodal_branches():
 def test_star_cubic_imaginary_blowdown():
     sys, eq, approach, gap = scalar_power_detour(3, 2)
     report = masuda_detour(sys, eq, approach, loop_radius=0.5 * gap, cycles=2, cfg=LOOP_CFG)
-    branches = blowup_star(sys, eq, report)
+    branches = blowup_star(sys, report)
     ups = sorted(cmath.phase(b["direction"]) % (2 * math.pi) for b in branches if b["kind"] == "BlowUp")
     downs = sorted(cmath.phase(b["direction"]) % (2 * math.pi) for b in branches if b["kind"] == "BlowDown")
     assert len(ups) == len(downs) == 2
@@ -281,7 +310,7 @@ def test_star_cubic_imaginary_blowdown():
 def test_star_quartic_three_plus_three():
     sys, eq, approach, gap = scalar_power_detour(4, 3)
     report = masuda_detour(sys, eq, approach, loop_radius=0.5 * gap, cycles=3, cfg=LOOP_CFG)
-    branches = blowup_star(sys, eq, report)
+    branches = blowup_star(sys, report)
     ups = [b for b in branches if b["kind"] == "BlowUp"]
     downs = [b for b in branches if b["kind"] == "BlowDown"]
     assert len(ups) == len(downs) == 3
@@ -297,4 +326,4 @@ def test_star_requires_closed_report():
     sys, eq, approach, entry = node_detour(2, 3, 1)
     report = masuda_detour(sys, eq, approach, loop_radius=1e-3, cycles=1, cfg=LOOP_CFG)
     with pytest.raises(NotClosedReportError):
-        blowup_star(sys, eq, report)
+        blowup_star(sys, report)

@@ -1,5 +1,6 @@
 """The public surface: every exported name exists, and so does every name
-the benchmark's tracer wraps, so trimming one shows up here first."""
+the benchmark's tracer wraps, so trimming one shows up here first; and every
+exported function reads each of its parameters."""
 
 import ast
 import importlib
@@ -45,3 +46,21 @@ def test_every_traced_name_resolves(module, path):
     for part in parents:
         owner = getattr(owner, part)
     assert callable(vars(owner).get(attr)), (module, path)
+
+
+def _exported_functions():
+    """The ``ast.FunctionDef`` of every module-level function a ``__all__`` names."""
+    for module in _modules():
+        tree = ast.parse(Path(module.__file__).read_text())
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in module.__all__:
+                yield pytest.param(node, id=f"{module.__name__}.{node.name}")
+
+
+@pytest.mark.parametrize("func", _exported_functions())
+def test_every_exported_function_reads_its_parameters(func):
+    args = func.args
+    params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg] if a]
+    read = {node.id for stmt in func.body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert [p for p in params if p not in read] == []
