@@ -33,7 +33,7 @@ import math
 import re
 import sys
 import urllib.parse
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -57,7 +57,7 @@ from blowup.holonomy import approach_blowup, blowup_star, holonomy_multiplier, m
 from blowup.normalform import conjugacy_residual, poincare_linearize
 from blowup.scenarios import catalog_get, catalog_names, tree_count
 
-__all__ = ["main", "run_command", "sample_portrait"]
+__all__ = ["main", "run_command", "PortraitSpec", "sample_portrait"]
 
 
 class CliValidationError(ValueError):
@@ -170,6 +170,10 @@ def _parse_params(pairs) -> dict:
     return params
 
 
+# a run this long already stores at least 2e7 samples
+_MAX_PATH_SEGMENTS = 10**6
+
+
 def load_path_file(path: str) -> TimePath:
     doc = _read_json(path, "path file")
     if not (isinstance(doc, dict) and isinstance(doc.get("segments", []), list)):
@@ -191,7 +195,9 @@ def load_path_file(path: str) -> TimePath:
     cycles = _real(doc.get("cycles", 1), "cycles")
     if not (cycles >= 1 and cycles.is_integer()):
         raise CliValidationError("cycles must be a whole number of at least 1")
-    return TimePath(tuple(segs), int(cycles))
+    if len(segs) * cycles > _MAX_PATH_SEGMENTS:  # refused before the repeated tuple exists
+        raise CliValidationError(f"path has more than {_MAX_PATH_SEGMENTS} segments after repetition")
+    return TimePath(tuple(segs) * int(cycles))
 
 
 def _is_number(val) -> bool:
@@ -351,54 +357,53 @@ def cmd_catalog(args) -> None:
 
 # ----------------------------------------------------------------- portraits
 
-def load_portrait_spec(path: str) -> dict:
+# at 40 or more samples per seed, already about 4e6 samples
+_MAX_PORTRAIT_SEEDS = 10**5
+
+
+@dataclass(frozen=True)
+class PortraitSpec:
+    """A checked portrait: what ``sample_portrait`` integrates and how its SVG is drawn."""
+
+    chart: str
+    path: TimePath
+    seeds: tuple[tuple[complex, complex], ...]
+    cfg: IntegrationConfig
+    stroke: str
+
+    def __post_init__(self):
+        if self.chart not in Chart.ALL:
+            raise CliValidationError(f"unknown chart {self.chart!r}")
+        if not isinstance(self.stroke, str) or any(c in self.stroke for c in "<>&\"'"):
+            raise CliValidationError("styling.stroke must be a string without <, >, &, or quotes")
+
+
+def load_portrait_spec(path: str) -> PortraitSpec:
     doc = _read_json(path, "portrait spec")
     if not isinstance(doc, dict):
         raise CliValidationError("portrait spec must hold a JSON object")
     for key in ("chart", "grid", "time_direction", "horizon"):
         if key not in doc:
             raise CliValidationError(f"portrait spec is missing {key!r}")
-    if not 0 < _real(doc["horizon"], "horizon") < math.inf:
+    horizon = _real(doc["horizon"], "horizon")
+    if not 0 < horizon < math.inf:
         raise CliValidationError("horizon must be finite and positive")
-    for key in ("rel_tol", "abs_tol", "max_step"):
-        _real(doc.get(key, 0.0), key)
+    tols = {key: _real(doc.get(key, default), key)
+            for key, default in (("rel_tol", 1e-9), ("abs_tol", 1e-11), ("max_step", 0.05))}
     grid = doc["grid"]
     if not (isinstance(grid, dict) and all(isinstance(grid.get(a), list) and len(grid[a]) == 3 for a in ("re", "im"))):
         raise CliValidationError("grid needs re and im as [from, to, count] triples")
-    for val in grid["re"] + grid["im"]:
+    (re0, re1, n_re), (im0, im1, n_im) = grid["re"], grid["im"]
+    for val in (re0, re1, n_re, im0, im1, n_im):
         _real(val, "grid")
-    if grid.get("coordinate", "first") not in ("first", "second"):
+    coordinate = grid.get("coordinate", "first")
+    if coordinate not in ("first", "second"):
         raise CliValidationError("grid.coordinate must be first or second")
     styling = doc.get("styling", {})
     if not isinstance(styling, dict):
         raise CliValidationError("styling must be an object")
-    stroke = styling.get("stroke", "")
-    if not isinstance(stroke, str) or any(c in stroke for c in "<>&\"'"):
-        raise CliValidationError("styling.stroke must be a string without <, >, &, or quotes")
-    return doc
 
-
-def _portrait_seeds(spec: dict) -> list[tuple[complex, complex]]:
-    grid = spec["grid"]
-    re0, re1, n_re = grid["re"]
-    im0, im1, n_im = grid["im"]
-    if not all(n >= 1 and float(n).is_integer() for n in (n_re, n_im)):
-        raise CliValidationError("grid counts must be whole numbers of at least 1")
-    fixed = _pair(grid.get("fixed", [0.0, 0.0]), "grid.fixed")
-    moving_index = 0 if grid.get("coordinate", "first") == "first" else 1
-    seeds = []
-    for i in range(int(n_re)):
-        re = re0 if n_re == 1 else re0 + (re1 - re0) * i / (n_re - 1)
-        for j in range(int(n_im)):
-            im = im0 if n_im == 1 else im0 + (im1 - im0) * j / (n_im - 1)
-            moving = complex(re, im)
-            seeds.append((moving, fixed) if moving_index == 0 else (fixed, moving))
-    return seeds
-
-
-def _time_path(spec: dict) -> TimePath:
-    direction = spec["time_direction"]
-    horizon = float(spec["horizon"])
+    direction = doc["time_direction"]
     if direction == "Real":
         end = complex(horizon, 0.0)
     elif direction == "Imaginary":
@@ -407,40 +412,44 @@ def _time_path(spec: dict) -> TimePath:
         end = horizon * cmath.exp(1j * _real(direction["Ray"], "time_direction.Ray"))
     else:
         raise CliValidationError("time_direction must be Real, Imaginary, or {\"Ray\": angle}")
-    return TimePath.from_points([0.0, end])
+
+    if not all(n >= 1 and float(n).is_integer() for n in (n_re, n_im)):
+        raise CliValidationError("grid counts must be whole numbers of at least 1")
+    if n_re * n_im > _MAX_PORTRAIT_SEEDS:  # refused before any seed exists
+        raise CliValidationError(f"grid has more than {_MAX_PORTRAIT_SEEDS} seeds")
+    fixed = _pair(grid.get("fixed", [0.0, 0.0]), "grid.fixed")
+    seeds = []
+    for i in range(int(n_re)):
+        re = re0 if n_re == 1 else re0 + (re1 - re0) * i / (n_re - 1)
+        for j in range(int(n_im)):
+            im = im0 if n_im == 1 else im0 + (im1 - im0) * j / (n_im - 1)
+            moving = complex(re, im)
+            seeds.append((moving, fixed) if coordinate == "first" else (fixed, moving))
+    return PortraitSpec(doc["chart"], TimePath.from_points([0.0, end]), tuple(seeds),
+                        IntegrationConfig(**tols), styling.get("stroke", "#1f6fb2"))
 
 
-def sample_portrait(csys: ChartSystem, spec: dict) -> tuple[list[dict], str]:
+def sample_portrait(csys: ChartSystem, spec: PortraitSpec) -> tuple[list[dict], str]:
     """Integrate every grid seed; returns per-seed polylines and an SVG body.
 
     Seeds run one after another and results come back in seed order, each
     with the reason its integration stopped.
     """
-    path = _time_path(spec)
-    chart = spec["chart"]
-    seeds = _portrait_seeds(spec)
-    cfg = IntegrationConfig(
-        rel_tol=float(spec.get("rel_tol", 1e-9)),
-        abs_tol=float(spec.get("abs_tol", 1e-11)),
-        max_step=float(spec.get("max_step", 0.05)),
-    )
-
     results = []
-    for idx, seed in enumerate(seeds):
-        traj = integrate_path(csys, chart, seed, path, cfg)
+    for idx, seed in enumerate(spec.seeds):
+        traj = integrate_path(csys, spec.chart, seed, spec.path, spec.cfg)
         pts = [(smp.coords[0], smp.coords[1], smp.chart) for smp in traj.samples]
         results.append({"seed": idx, "status": traj.terminated_reason.value, "points": pts})
-    svg = _portrait_svg(results, spec)
-    return results, svg
+    return results, _portrait_svg(results, spec)
 
 
-def _portrait_svg(results: list[dict], spec: dict) -> str:
+def _portrait_svg(results: list[dict], spec: PortraitSpec) -> str:
     """Plain SVG: one polyline of the moving coordinate per seed, plus axes."""
     width, height = 640, 640
     xs, ys = [], []
     for res in results:
         for c1, c2, chart in res["points"]:
-            if chart == spec["chart"]:
+            if chart == spec.chart:
                 xs.append(c1.real)
                 ys.append(c1.imag)
     if not xs:
@@ -459,13 +468,12 @@ def _portrait_svg(results: list[dict], spec: dict) -> str:
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" viewBox="0 0 {width} {height}">']
     parts.append(f'<line x1="{sx(lo_x - pad):.2f}" y1="{sy(0):.2f}" x2="{sx(hi_x + pad):.2f}" y2="{sy(0):.2f}" stroke="#888" stroke-width="1"/>')
     parts.append(f'<line x1="{sx(0):.2f}" y1="{sy(lo_y - pad):.2f}" x2="{sx(0):.2f}" y2="{sy(hi_y + pad):.2f}" stroke="#888" stroke-width="1"/>')
-    color = spec.get("styling", {}).get("stroke", "#1f6fb2")
     for res in results:
-        pts = [(c1, c2) for c1, c2, chart in res["points"] if chart == spec["chart"]]
+        pts = [(c1, c2) for c1, c2, chart in res["points"] if chart == spec.chart]
         if len(pts) < 2:
             continue
         coords = " ".join(f"{sx(c1.real):.2f},{sy(c1.imag):.2f}" for c1, _ in pts)
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1"/>')
+        parts.append(f'<polyline points="{coords}" fill="none" stroke="{spec.stroke}" stroke-width="1"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

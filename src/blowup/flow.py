@@ -24,6 +24,13 @@ seventh stage, which FSAL hands on.  Each sum is the tableau's arithmetic
 in the tableau's order, term by term with zero weights included, so the
 floats are those of applying the tableau with loops.
 
+A ``TimePath`` is only its segments, each joined to the next within 1e-12
+and the roundoff of evaluating a segment's end.  A loop run k times is its
+segments repeated, ``TimePath(segments * k)`` (``TimePath.circle(...,
+cycles=k)`` is k full arcs): the join from the end of one round to the
+start of the next is checked like every other join, and the march meets it
+as one more corner.
+
 Both integrators, ``integrate_path`` and ``continue_leaf``, march through
 ``_march(path, y0, cfg, rhs, on_step)``, the only loop that takes steps: it
 calls the compiled attempt and runs the step controller itself.  It walks
@@ -83,7 +90,6 @@ __all__ = [
 ]
 
 _JOIN_TOL = 1e-12
-_CLOSED_TOL = 1e-9
 _DIVERGE_NORM = 1e12
 _SWITCH_THRESHOLD = 2.0  # leave a chart once a coordinate exceeds this
 _UNDERFLOW_FACTOR = 1e-14
@@ -128,14 +134,6 @@ class Line:
     def velocity(self, sigma: float) -> complex:
         return self.end - self.start
 
-    @property
-    def first(self) -> complex:
-        return self.start
-
-    @property
-    def last(self) -> complex:
-        return self.end
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -159,14 +157,6 @@ class Arc:
         ang = self.angle_from + (self.angle_to - self.angle_from) * sigma
         return 1j * (self.angle_to - self.angle_from) * self.radius * cmath.exp(1j * ang)
 
-    @property
-    def first(self) -> complex:
-        return self.point(0.0)
-
-    @property
-    def last(self) -> complex:
-        return self.point(1.0)
-
 
 Segment = Line | Arc
 State = tuple[complex, ...]  # one Python complex per component
@@ -174,49 +164,35 @@ State = tuple[complex, ...]  # one Python complex per component
 
 @dataclass(frozen=True)
 class TimePath:
-    """Piecewise-smooth curve in the complex time plane, traversed ``cycles`` times."""
+    """Piecewise-smooth curve in the complex time plane; run k times, it is ``TimePath(segments * k)``."""
 
     segments: tuple[Segment, ...]
-    cycles: int = 1
 
     def __post_init__(self):
         if not self.segments:
             raise ValueError("path needs at least one segment")
-        if self.cycles < 1:
-            raise ValueError("cycles must be positive")
         object.__setattr__(self, "segments", tuple(self.segments))
         for prev, nxt in zip(self.segments, self.segments[1:]):
-            if abs(prev.last - nxt.first) > _JOIN_TOL:
-                raise PathDiscontinuityError(
-                    f"segments do not join: {prev.last} vs {nxt.first}"
-                )
-        if self.cycles > 1 and not self.is_closed:
-            raise PathDiscontinuityError("multi-cycle path must be closed")
-
-    @property
-    def is_closed(self) -> bool:
-        return abs(self.segments[-1].last - self.segments[0].first) < _CLOSED_TOL
-
-    @property
-    def s_length(self) -> float:
-        return float(len(self.segments) * self.cycles)
+            end, start = prev.point(1.0), nxt.point(0.0)
+            # beyond 1e-12, allow the roundoff of a line's end, start + (end - start), far from t = 0
+            slack = 4.0 * sys.float_info.epsilon * max(abs(prev.point(0.0)), abs(end))
+            if abs(end - start) > _JOIN_TOL + slack:
+                raise PathDiscontinuityError(f"segments do not join: {end} vs {start}")
 
     def point(self, s: float) -> complex:
-        """Time at global parameter ``s``, clamped to [0, s_length]."""
+        """Time at global parameter ``s``, clamped to [0, number of segments]."""
         n = len(self.segments)
-        total = n * self.cycles
-        s = min(max(s, 0.0), total)
-        idx = min(int(s), total - 1)
-        return self.segments[idx % n].point(s - idx)
+        s = min(max(s, 0.0), n)
+        idx = min(int(s), n - 1)
+        return self.segments[idx].point(s - idx)
 
     @staticmethod
-    def from_points(points: Sequence[complex], cycles: int = 1) -> "TimePath":
-        segs = tuple(Line(a, b) for a, b in zip(points, points[1:]))
-        return TimePath(segs, cycles)
+    def from_points(points: Sequence[complex]) -> "TimePath":
+        return TimePath(tuple(Line(a, b) for a, b in zip(points, points[1:])))
 
     @staticmethod
     def circle(center: complex, radius: float, cycles: int = 1) -> "TimePath":
-        return TimePath((Arc(center, radius, 0.0, 2.0 * math.pi),), cycles)
+        return TimePath((Arc(center, radius, 0.0, 2.0 * math.pi),) * cycles)
 
 
 class Termination(str, Enum):
@@ -340,7 +316,7 @@ def _march(
     on_step: Callable[[float, State, Segment, float], Termination | State | None],
 ) -> Termination:
     """Integrate ``rhs`` along ``path`` segment by segment (contract in the module docstring)."""
-    total = path.s_length
+    total = float(len(path.segments))
     safety, order = 0.9, 4.0  # error-per-unit-step: controlled error is O(h^4)
     # no step's embedded error can drop below roundoff of the state, so a
     # step shorter than this is charged as one this long: forced-short steps
@@ -352,7 +328,7 @@ def _march(
     while s < total - 1e-12:
         idx = min(int(math.floor(s + 1e-9)), int(total) - 1)
         s1 = min(idx + 1.0, total)
-        seg = path.segments[idx % len(path.segments)]
+        seg = path.segments[idx]
         span = s1 - s
         h = min(cfg.max_step, span / 10.0, span)
         prev_err = 1.0

@@ -89,6 +89,8 @@ def pendulum_loop_windings(
     windings.  The radius is halved, at most ``_MAX_HALVINGS`` times, until
     two successive radii agree; the smaller is ``stabilized_radius``.
     """
+    if not 0.0 < loop_radius < math.inf:  # also refuses NaN
+        raise ValueError(f"loop radius must be finite and positive, got {loop_radius!r}")
     g = [complex(c) for c in g_coeffs]
     while g and abs(g[-1]) < 1e-300:
         g.pop()

@@ -231,8 +231,8 @@ def conjugacy_residual(
     across radii (r, r/2, r/4); residuals at the roundoff floor are treated
     as exact and give an infinite slope.
     """
-    if ball_radius > 0.5:
-        raise ValueError("ball_radius must not exceed 0.5")
+    if not 0.0 < ball_radius <= 0.5:  # also refuses NaN
+        raise ValueError(f"ball_radius must lie in (0, 0.5], got {ball_radius!r}")
     radii = (ball_radius, ball_radius / 2.0, ball_radius / 4.0)
     l1, l2 = transform.eigenvalues
     local, _, _ = _localized_field(system, eq)

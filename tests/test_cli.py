@@ -10,8 +10,10 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import blowup.cli
 import blowup.holonomy
-from blowup.cli import dump_json, run_command
+from blowup.cli import PortraitSpec, dump_json, run_command
+from blowup.flow import IntegrationConfig, TimePath
 from blowup.scenarios import catalog_names
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -48,6 +50,15 @@ def _error_line(capsys) -> dict:
                  id="detour-nan-horizon"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--horizon", "inf"],
                  id="detour-inf-horizon"),
+    pytest.param(["linearize", "catalog:riccati", "--eq", "0", "--order", "4", "--ball-radius", "nan"],
+                 id="linearize-nan-ball-radius"),
+    pytest.param(["linearize", "catalog:riccati", "--eq", "0", "--order", "4", "--ball-radius", "0"],
+                 id="linearize-zero-ball-radius"),
+    pytest.param(["linearize", "catalog:riccati", "--eq", "0", "--order", "4", "--ball-radius", "-0.1"],
+                 id="linearize-negative-ball-radius"),
+    pytest.param(["pendulum", "--g=-6,0,6", "--radius", "nan"], id="pendulum-nan-radius"),
+    pytest.param(["pendulum", "--g=-6,0,6", "--radius", "0"], id="pendulum-zero-radius"),
+    pytest.param(["pendulum", "--g=-6,0,6", "--radius", "inf"], id="pendulum-inf-radius"),
 ])
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
@@ -58,6 +69,7 @@ _FIELD = {"f": [[2, 0, 1.0, 0.0]], "g": [[0, 1, -1.0, 0.0]]}
 _SPEC = {"chart": "XY", "grid": {"re": [0.1, 0.2, 2], "im": [0.0, 0.0, 1]}, "time_direction": "Real",
          "horizon": 0.1}
 _LINE = {"type": "line", "from": [0, 0], "to": [1, 0]}
+_LOOP = {"type": "arc", "center": [1, 0], "radius": 0.4, "angle_from": 0, "angle_to": 2 * math.pi}
 
 
 @pytest.mark.parametrize("command, doc", [
@@ -90,6 +102,13 @@ _LINE = {"type": "line", "from": [0, 0], "to": [1, 0]}
     pytest.param("portrait", {**_SPEC, "grid": {**_SPEC["grid"], "coordinate": "frist"}},
                  id="portrait-coordinate-misspelt"),
     pytest.param("portrait", {**_SPEC, "styling": {"stroke": 1}}, id="portrait-stroke-number"),
+    # a repeated loop joins its end to its start within 1e-12, like any other join: this one is 1.1e-10 short
+    pytest.param("integrate", {"segments": [{**_LOOP, "angle_to": 6.2831853069}], "cycles": 2},
+                 id="path-cycle-not-closed"),
+    pytest.param("integrate", {"segments": [_LOOP], "cycles": 10**6 + 1}, id="path-too-many-segments"),
+    # just over the 10^5 seed bound, so that a missing bound costs a slow run, not the memory of 10^12 seeds
+    pytest.param("portrait", {**_SPEC, "grid": {"re": [0.1, 0.2, 1000], "im": [0.0, 0.1, 101]}},
+                 id="portrait-grid-too-many-seeds"),
 ])
 def test_malformed_input_file_is_a_validation_error(command, doc, tmp_path, capsys):
     file = tmp_path / "input.json"
@@ -112,6 +131,21 @@ def test_path_cycles_must_be_a_whole_number_of_at_least_1(cycles, tmp_path, caps
     argv = ["integrate", "catalog:scalar_poly?m=2", "--path", str(file), "--start", "0.5,0"]
     assert run_command(argv) == 2
     assert _error_line(capsys)["error"] == "validation"
+
+
+@pytest.mark.parametrize("system, start", [
+    pytest.param("catalog:scalar_poly?m=2", "-2.5,0", id="scalar-poly-around-the-pole"),
+    pytest.param("catalog:riccati", "0.5,0", id="riccati"),
+])
+def test_path_cycles_repeat_its_segments(system, start, tmp_path, capsys):
+    # x' = x^2 with x(1.4) = -2.5 is x(t) = 1/(1 - t): the loop circles the pole at t = 1
+    csv = []
+    for doc in ({"segments": [_LOOP], "cycles": 3}, {"segments": [_LOOP] * 3}):
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(doc))
+        assert run_command(["integrate", system, "--path", str(path), "--start", start]) == 0
+        csv.append(capsys.readouterr().out)
+    assert csv[0] == csv[1]
 
 
 def test_integrate_detours_around_the_pole_into_the_blowup_chart(tmp_path, capsys):
@@ -199,6 +233,73 @@ def test_portrait_stroke_cannot_carry_markup(tmp_path, capsys):
     spec.write_text(json.dumps({**_SPEC, "styling": {"stroke": "#c00"}}))
     assert run_command(argv) == 0
     assert Path(f"{stem}.svg").read_text().count('stroke="#c00"') == 2  # one polyline per seed
+
+
+@pytest.mark.parametrize("chart, stroke", [
+    pytest.param("AB", "#c00", id="unknown-chart"),
+    pytest.param("XY", '"/><script>x</script><x a="', id="stroke-markup"),
+])
+def test_portrait_spec_is_checked_however_it_is_built(chart, stroke):
+    # sample_portrait is exported, so a spec need not come through load_portrait_spec
+    with pytest.raises(ValueError):
+        PortraitSpec(chart, TimePath.from_points([0.0, 0.1]), ((0.1 + 0j, 0j),), IntegrationConfig(), stroke)
+
+
+_FULL_SPEC = {**_SPEC, "grid": {**_SPEC["grid"], "coordinate": "second", "fixed": [0.5, 0.0]},
+              "time_direction": {"Ray": 0.3}, "rel_tol": 1e-9, "abs_tol": 1e-11, "max_step": 0.05,
+              "styling": {"stroke": "#c00"}}
+
+
+def _key_paths(doc: dict, at: tuple = ()) -> set:
+    """The path of every key in a JSON object, nested objects included."""
+    paths = set()
+    for key, val in doc.items():
+        paths.add(at + (key,))
+        if isinstance(val, dict):
+            paths |= _key_paths(val, at + (key,))
+    return paths
+
+
+def test_portrait_schema_lists_every_key_the_reader_reads(monkeypatch):
+    read = set()
+
+    class Recorder(dict):
+        """A JSON object that records the key path of every lookup."""
+
+        def __init__(self, doc: dict, at: tuple = ()):
+            super().__init__((k, Recorder(v, at + (k,)) if isinstance(v, dict) else v) for k, v in doc.items())
+            self.at = at
+
+        def __getitem__(self, key):
+            read.add(self.at + (key,))
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(self.at + (key,))
+            return super().get(key, default)
+
+        def __contains__(self, key):
+            read.add(self.at + (key,))
+            return super().__contains__(key)
+
+    monkeypatch.setattr(blowup.cli, "_read_json", lambda path, what: Recorder(_FULL_SPEC))
+    blowup.cli.load_portrait_spec("spec.json")
+    schema = json.loads((SCHEMAS / "portrait_spec.schema.json").read_text())
+
+    def listed(key_path) -> bool:
+        node = schema
+        for key in key_path:
+            props = dict(node.get("properties", {}))
+            for branch in node.get("oneOf", []):
+                props.update(branch.get("properties", {}))
+            if key not in props:
+                return False
+            node = props[key]
+        return True
+
+    used = read | _key_paths(_SPEC) | _key_paths(_FULL_SPEC)
+    assert sorted(p for p in used if not listed(p)) == []
+    assert [e.message for e in _validators()["portrait_spec"].iter_errors(_FULL_SPEC)] == []
 
 
 def test_approach_that_misses_the_ball_names_its_reason(capsys):
