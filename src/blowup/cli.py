@@ -106,8 +106,9 @@ def parse_system_file(path: str) -> PlanarField | PolynomialHamiltonian:
 
     Field files carry ``f`` and ``g`` coefficient tables of rows
     [j, k, re, im]; Hamiltonian files carry ``H`` (same rows) and an optional
-    ``level`` pair.  Coefficients must be numeric; zero rows are pruned.  The
-    constructors refuse a zero field and a Hamiltonian of degree below 2.
+    ``level`` pair.  Coefficients must be finite numbers; zero rows are
+    pruned.  The constructors refuse a zero field and a Hamiltonian of degree
+    below 2.
     """
     doc = _read_json(path, "system file")
     if not isinstance(doc, dict):
@@ -133,9 +134,7 @@ def _poly_from_rows(rows, name: str) -> BivariatePolynomial:
         j, k, re, im = row
         if not (type(j) is int and type(k) is int) or j < 0 or k < 0:  # bool subclasses int
             raise CliValidationError(f"{name}[{i}]: exponents must be nonnegative integers, got {j}, {k}")
-        if not all(_is_number(v) for v in (re, im)):
-            raise CliValidationError(f"{name}[{i}]: coefficients must be numeric")
-        entries.append((j, k, complex(re, im)))
+        entries.append((j, k, complex(_real(re, f"{name}[{i}].re"), _real(im, f"{name}[{i}].im"))))
     return BivariatePolynomial.from_coeffs(entries)
 
 
@@ -160,13 +159,16 @@ def resolve_system(spec: str) -> tuple[ChartSystem, dict, tuple | None]:
 
 
 def _parse_params(pairs) -> dict:
-    """Numeric catalog parameters from (key, text) pairs; the last of a key wins."""
+    """Finite numeric catalog parameters from (key, text) pairs; the last of a key wins."""
     params = {}
     for key, val in pairs:
         try:
             params[key] = float(val) if "." in val or "e" in val.lower() else int(val)
-        except ValueError:
-            raise CliValidationError(f"parameter {key}={val!r} is not numeric") from None
+            finite = math.isfinite(params[key])  # an int too large for a double overflows here
+        except (ValueError, OverflowError):
+            finite = False
+        if not finite:
+            raise CliValidationError(f"parameter {key}={val!r} is not a finite number")
     return params
 
 
@@ -206,9 +208,16 @@ def _is_number(val) -> bool:
 
 
 def _real(val, what: str) -> float:
+    """A JSON number as a finite float; an integer too large for a double is refused too."""
     if not _is_number(val):
         raise CliValidationError(f"{what} must be a number")
-    return float(val)
+    try:
+        out = float(val)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise CliValidationError(f"{what} must be finite")
+    return out
 
 
 def _pair(val, what: str) -> complex:
@@ -260,9 +269,12 @@ def cmd_integrate(args) -> None:
 
 def _reals(text: str, flag: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",")]
+        vals = [float(v) for v in text.split(",")]
     except ValueError:
-        raise CliValidationError(f"{flag} {text!r} is not a comma-separated list of reals") from None
+        vals = [math.nan]
+    if not all(math.isfinite(v) for v in vals):
+        raise CliValidationError(f"{flag} {text!r} is not a comma-separated list of finite reals")
+    return vals
 
 
 def _parse_start(text: str) -> tuple[complex, complex]:
@@ -315,7 +327,7 @@ def cmd_linearize(args) -> None:
         "inverse": [_poly_rows(p) for p in tr.inverse_components],
         "min_divisor": tr.min_divisor,
         "max_coefficient": tr.max_coefficient,
-        "residual": conjugacy_residual(csys, rec, tr, ball_radius=args.ball_radius),
+        "residual": conjugacy_residual(tr, ball_radius=args.ball_radius),
     })
 
 

@@ -5,6 +5,11 @@ F o Psi = DPsi . Lambda p, Lambda = diag(lambda_1, lambda_2), degree by
 degree: while Psi is exact below total degree n, every degree-n monomial
 coefficient c of F o Psi in component iota is cancelled by the compensating
 coefficient -c / (lambda_iota - alpha . lambda) of the same monomial in Psi.
+The inverse Phi = Psi^-1 is solved in the same loop, from its own equation
+DPhi . F = Lambda Phi, which is linear in Phi: with N the part of F of degree
+2 and above, and Phi exact below n, its degree-n coefficient is
+[DPhi_iota . N]_alpha / (lambda_iota - alpha . lambda), over the same
+divisors.  No composition builds Phi.
 Small denominators are refused outright: any scanned divisor at or below
 1e-8 * max|lambda| raises, with the offending multi-index attached, instead
 of polluting the transform with huge coefficients.
@@ -66,10 +71,12 @@ class TruncatedTransform:
 
     ``components`` maps (u~, z~) to the local coordinates in which the field
     was handed over (after shifting the equilibrium to the origin and
-    normalizing the linear part); ``inverse_components`` composes back to the
-    identity up to terms of total degree beyond ``order_N``.  ``linear_map``
-    and ``offset`` record the affine normalization so that points in the
-    original chart can be pushed through the transform.
+    normalizing the linear part); ``local_field`` is that field, the one the
+    transform conjugates.  ``inverse_components`` is solved from
+    DPhi . F = Lambda Phi, not by inverting ``components``, and composes with
+    them to the identity up to terms of total degree beyond ``order_N``.
+    ``linear_map`` and ``offset`` record the affine normalization so that
+    points in the original chart can be pushed through the transform.
     """
 
     order_N: int
@@ -78,6 +85,7 @@ class TruncatedTransform:
     eigenvalues: tuple[complex, complex]
     linear_map: tuple[tuple[complex, complex], tuple[complex, complex]]
     offset: tuple[complex, complex]
+    local_field: tuple[BivariatePolynomial, BivariatePolynomial]
     min_divisor: float
     max_coefficient: float
 
@@ -132,8 +140,9 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
     Solves F o Psi = DPsi . Lambda p degree by degree; each degree-n
     coefficient of F o Psi contributes itself divided by lambda_iota -
     alpha . lambda to the transform, and the finished transform is checked
-    against that equation through ``order_N``.  Raises
-    ``ResonantAtOrderError`` the moment a divisor drops to
+    against that equation through ``order_N``.  The inverse takes its
+    degree-n terms from DPhi . N over the same divisors, in the same loop.
+    Raises ``ResonantAtOrderError`` the moment a divisor drops to
     1e-8 * max|lambda| or below (exact resonances and near-resonances are
     treated alike: a transform with exploding coefficients is worthless), and
     at order 2 for a ``Degenerate`` record, whose spectrum holds a 0.
@@ -158,21 +167,25 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
         if row["min_divisor"] <= guard:
             raise ResonantAtOrderError(row["order"], tuple(row["alpha"]), row["component"], row["min_divisor"])
 
-    psi = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
+    psi = phi = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
+    nonlinear = [BivariatePolynomial({jk: c for jk, c in comp.terms.items() if sum(jk) >= 2}) for comp in local]
     min_div = math.inf
     for n in range(2, order_N + 1):
-        addition: list[dict[tuple[int, int], complex]] = [{}, {}]
-        for terms, li, comp in zip(addition, (l1, l2), local):
-            for (a1, a2), c in comp.compose(psi[0], psi[1], max_degree=n).terms.items():
-                if a1 + a2 != n:
-                    continue
-                div = li - (a1 * l1 + a2 * l2)
-                min_div = min(min_div, abs(div))
-                terms[(a1, a2)] = -c / div
-        psi = (
-            psi[0] + BivariatePolynomial(addition[0]),
-            psi[1] + BivariatePolynomial(addition[1]),
-        )
+        psi_add, phi_add = [{}, {}], [{}, {}]
+        for i, (li, comp, p) in enumerate(zip((l1, l2), local, phi)):
+            # the degree-n terms of F o Psi and of DPhi . N, Phi known below n
+            forced = comp.compose(psi[0], psi[1], max_degree=n)
+            driven = p.partial_x() * nonlinear[0] + p.partial_y() * nonlinear[1]
+            for (a1, a2), c in forced.terms.items():
+                if a1 + a2 == n:
+                    div = li - (a1 * l1 + a2 * l2)
+                    min_div = min(min_div, abs(div))
+                    psi_add[i][(a1, a2)] = -c / div
+            for (a1, a2), c in driven.terms.items():
+                if a1 + a2 == n:
+                    phi_add[i][(a1, a2)] = c / (li - (a1 * l1 + a2 * l2))
+        psi = tuple(p + BivariatePolynomial(terms) for p, terms in zip(psi, psi_add))
+        phi = tuple(p + BivariatePolynomial(terms) for p, terms in zip(phi, phi_add))
     # verify: F o Psi = DPsi . Lambda p through order_N
     for comp, p in zip(local, psi):
         flowed = BivariatePolynomial({(a1, a2): (a1 * l1 + a2 * l2) * c for (a1, a2), c in p.terms.items()})
@@ -181,7 +194,6 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
         if worst > 1e-9 * max(abs(l1), abs(l2)):
             raise NormalFormError(f"elimination left residual coefficients of size {worst:.3g}")
 
-    inverse = _compose_inverse(psi, order_N)
     max_coeff = max(
         (abs(c) for p in psi for c in p.terms.values()),
         default=1.0,
@@ -189,44 +201,22 @@ def poincare_linearize(system: ChartSystem, eq: EquilibriumRecord, order_N: int 
     return TruncatedTransform(
         order_N=order_N,
         components=psi,
-        inverse_components=inverse,
+        inverse_components=phi,
         eigenvalues=(l1, l2),
         linear_map=V,
         offset=eq.location,
+        local_field=local,
         min_divisor=float(min_div) if min_div < math.inf else float("nan"),
         max_coefficient=float(max_coeff),
     )
 
 
-def _compose_inverse(
-    psi: tuple[BivariatePolynomial, BivariatePolynomial], order: int
-) -> tuple[BivariatePolynomial, BivariatePolynomial]:
-    """Fixed-point inversion: Phi = id - (Psi - id) o Phi, truncated.
-
-    Sweep n fixes the degree-n terms of Phi, so it composes only to degree n.
-    """
-    ident = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
-    nl = (psi[0] - ident[0], psi[1] - ident[1])
-    phi = ident
-    for n in range(2, order + 1):
-        phi = (
-            ident[0] - nl[0].compose(phi[0], phi[1], max_degree=n),
-            ident[1] - nl[1].compose(phi[0], phi[1], max_degree=n),
-        )
-    return phi
-
-
-def conjugacy_residual(
-    system: ChartSystem,
-    eq: EquilibriumRecord,
-    transform: TruncatedTransform,
-    ball_radius: float,
-) -> dict:
+def conjugacy_residual(transform: TruncatedTransform, ball_radius: float) -> dict:
     """Deviation of the pulled-back field from its diagonal linearization.
 
     Samples points in the straightened ball, pushes them through the
-    transform, evaluates the original field there, pulls the vector back
-    through the Jacobian of the transform, and measures the gap to
+    transform, evaluates there the field it was solved against, pulls the
+    vector back through the Jacobian of the transform, and measures the gap to
     diag(l1, l2).  ``fitted_order`` is the log2 slope of the max residual
     across radii (r, r/2, r/4); residuals at the roundoff floor are treated
     as exact and give an infinite slope.
@@ -235,13 +225,12 @@ def conjugacy_residual(
         raise ValueError(f"ball_radius must lie in (0, 0.5], got {ball_radius!r}")
     radii = (ball_radius, ball_radius / 2.0, ball_radius / 4.0)
     l1, l2 = transform.eigenvalues
-    local, _, _ = _localized_field(system, eq)
     rng = random.Random(_RESIDUAL_SEED)
     samples = [(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.5, 1.0))
                for _ in range(_RESIDUAL_SAMPLES)]
     # Psi, the field and the two rows of DPsi, each compiled once
     psi = PlanarField(*transform.components)
-    field = PlanarField(*local)
+    field = PlanarField(*transform.local_field)
     dpsi = [PlanarField(p.partial_x(), p.partial_y()) for p in transform.components]
     maxima = []
     for r in radii:

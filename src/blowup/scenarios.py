@@ -79,6 +79,16 @@ def _need(params: dict, defaults: dict) -> dict:
     return merged
 
 
+def _whole(p: dict, key: str) -> int:
+    """``p[key]`` as an int; a value that is not a whole number is excluded."""
+    try:
+        if int(p[key]) == p[key]:
+            return int(p[key])
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ExcludedParameterError(f"{key} must be a whole number, got {p[key]!r}")
+
+
 def _riccati(params):
     p = _need(params, {"a": 1.0, "e1": 1.0, "e2": -1.0})
     a, e1, e2 = complex(p["a"]), complex(p["e1"]), complex(p["e2"])
@@ -100,7 +110,7 @@ def _riccati(params):
 
 def _scalar_poly(params):
     p = _need(params, {"m": 2})
-    m = int(p["m"])
+    m = _whole(p, "m")
     if m < 2:
         raise ExcludedParameterError("degree m must be at least 2")
     fld = PlanarField(P([(m, 0, 1.0)]), P([(0, 1, -1.0)]))
@@ -117,7 +127,7 @@ def _scalar_poly(params):
 
 def _cyclotomic(params):
     p = _need(params, {"m": 3})
-    m = int(p["m"])
+    m = _whole(p, "m")
     if m < 2:
         raise ExcludedParameterError("degree m must be at least 2")
     fld = PlanarField(P([(m, 0, 1.0), (0, 0, -1.0)]), P([(0, 1, -1.0)]))
@@ -170,7 +180,7 @@ def _jordan_block(params):
 
 def _rational_node(params):
     p = _need(params, {"n1": 2, "n2": 3, "gamma": 1.0})
-    n1, n2 = int(p["n1"]), int(p["n2"])
+    n1, n2 = _whole(p, "n1"), _whole(p, "n2")
     gamma = complex(p["gamma"])
     if n1 < 1 or n2 < 1 or gcd(n1, n2) != 1:
         raise ExcludedParameterError("n1, n2 must be positive coprime integers")
@@ -220,7 +230,7 @@ def _golden_node(params):
 
 def _reciprocal_linear(params):
     p = _need(params, {"a": 1.0, "b": -1.0, "n1": 1, "n2": 2})
-    n1, n2 = int(p["n1"]), int(p["n2"])
+    n1, n2 = _whole(p, "n1"), _whole(p, "n2")
     if not (0 < n1 < n2):
         raise ExcludedParameterError("need 0 < n1 < n2")
     fld = PlanarField(P([(1, 0, -float(n1))]), P([(0, 1, -float(n2))]))

@@ -59,6 +59,19 @@ def _error_line(capsys) -> dict:
     pytest.param(["pendulum", "--g=-6,0,6", "--radius", "nan"], id="pendulum-nan-radius"),
     pytest.param(["pendulum", "--g=-6,0,6", "--radius", "0"], id="pendulum-zero-radius"),
     pytest.param(["pendulum", "--g=-6,0,6", "--radius", "inf"], id="pendulum-inf-radius"),
+    # whole-number catalog parameters are not truncated
+    pytest.param(["catalog", "show", "scalar_poly", "--params", "m=2.5"], id="scalar-poly-m-not-whole"),
+    pytest.param(["catalog", "show", "cyclotomic", "--params", "m=3.5"], id="cyclotomic-m-not-whole"),
+    pytest.param(["classify", "catalog:rational_node?n1=3.7&n2=2"], id="rational-node-n1-not-whole"),
+    pytest.param(["catalog", "show", "reciprocal_linear", "--params", "n2=2.5"],
+                 id="reciprocal-linear-n2-not-whole"),
+    # non-finite and overflowing numbers are bad input, not numerical failures
+    pytest.param(["classify", "catalog:riccati?a=1e400"], id="catalog-parameter-overflows"),
+    pytest.param(["classify", "catalog:riccati?a=1" + "0" * 400], id="catalog-parameter-int-overflows"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--start", "nan,0"],
+                 id="detour-nan-start"),
+    pytest.param(["pendulum", "--g=1,2,nan"], id="pendulum-nan-force"),
+    pytest.param(["pendulum", "--g=1,2,1e400"], id="pendulum-force-overflows"),
 ])
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
@@ -109,12 +122,24 @@ _LOOP = {"type": "arc", "center": [1, 0], "radius": 0.4, "angle_from": 0, "angle
     # just over the 10^5 seed bound, so that a missing bound costs a slow run, not the memory of 10^12 seeds
     pytest.param("portrait", {**_SPEC, "grid": {"re": [0.1, 0.2, 1000], "im": [0.0, 0.1, 101]}},
                  id="portrait-grid-too-many-seeds"),
+    # a NaN coefficient is refused, not pruned as if it were 0
+    pytest.param("classify", {"f": [[2, 0, 1.0, 0.0], [1, 0, math.nan, 0.0]], "g": [[0, 1, -1.0, 0.0]]},
+                 id="system-coefficient-nan"),
+    # json.dumps writes inf as Infinity, which reads back as the same inf as 1e400
+    pytest.param("classify", {"f": [[2, 0, math.inf, 0.0]], "g": [[0, 1, -1.0, 0.0]]},
+                 id="system-coefficient-inf"),
+    pytest.param("classify", {"f": [[2, 0, 1.0, 10**400]], "g": [[0, 1, -1.0, 0.0]]},
+                 id="system-coefficient-int-overflows"),
+    pytest.param("integrate", {"segments": [{"type": "line", "from": [0, 0], "to": [10**400, 0]}]},
+                 id="path-coordinate-int-overflows"),
+    pytest.param("integrate-from-inf", {"segments": [_LINE]}, id="integrate-inf-start"),
 ])
 def test_malformed_input_file_is_a_validation_error(command, doc, tmp_path, capsys):
     file = tmp_path / "input.json"
     file.write_text(json.dumps(doc))
     argv = {
         "integrate": ["integrate", "catalog:scalar_poly?m=2", "--path", str(file), "--start", "1,0"],
+        "integrate-from-inf": ["integrate", "catalog:scalar_poly?m=2", "--path", str(file), "--start", "inf,0"],
         "portrait": ["portrait", "catalog:riccati", "--portrait", str(file), "--output", str(tmp_path / "p")],
         "classify": ["classify", str(file)],
     }[command]

@@ -65,7 +65,7 @@ def test_single_step_elimination_z_squared():
     assert tr.components[0].terms == pytest.approx({(1, 0): 1.0, (0, 2): -0.25})
     assert tr.components[1].terms == pytest.approx({(0, 1): 1.0})
     assert tr.min_divisor == pytest.approx(4.0)
-    res = conjugacy_residual(sys, eq, tr, ball_radius=0.1)
+    res = conjugacy_residual(tr, ball_radius=0.1)
     # exact one-step linearization: residual at roundoff, slope reported inf
     assert res["max_residuals"][0] < 1e-13
     assert res["fitted_order"] >= 6.5
@@ -75,13 +75,12 @@ def test_inverse_composes_to_identity():
     sys = caricature(-0.5)
     eq = classified(sys, Chart.UZ, 0.0)
     tr = poincare_linearize(sys, eq, order_N=8)
-    comp0 = tr.components[0].compose(tr.inverse_components[0], tr.inverse_components[1], max_degree=8)
-    comp1 = tr.components[1].compose(tr.inverse_components[0], tr.inverse_components[1], max_degree=8)
-    id0 = BivariatePolynomial({(1, 0): 1.0})
-    id1 = BivariatePolynomial({(0, 1): 1.0})
-    for got, want in ((comp0, id0), (comp1, id1)):
-        gap = got - want
-        assert max((abs(c) for c in gap.terms.values()), default=0.0) < 1e-10
+    ident = (BivariatePolynomial({(1, 0): 1.0}), BivariatePolynomial({(0, 1): 1.0}))
+    # Psi o Phi and Phi o Psi
+    for outer, inner in ((tr.components, tr.inverse_components), (tr.inverse_components, tr.components)):
+        for p, want in zip(outer, ident):
+            gap = p.compose(inner[0], inner[1], max_degree=8) - want
+            assert max((abs(c) for c in gap.terms.values()), default=0.0) < 1e-10
 
 
 def test_caricature_two_thirds_linearizes_at_order_8():
@@ -90,7 +89,7 @@ def test_caricature_two_thirds_linearizes_at_order_8():
     eq = classified(sys, Chart.UZ, 0.0)
     assert eq.spectral_quotient == pytest.approx(2.0 / 3.0)
     tr = poincare_linearize(sys, eq, order_N=8)
-    res = conjugacy_residual(sys, eq, tr, ball_radius=0.1)
+    res = conjugacy_residual(tr, ball_radius=0.1)
     assert res["fitted_order"] >= 8.5
 
 
@@ -126,7 +125,7 @@ def test_residual_order_scales_with_radius():
     sys = caricature(-0.5)
     eq = classified(sys, Chart.UZ, 0.0)
     tr = poincare_linearize(sys, eq, order_N=8)
-    res = conjugacy_residual(sys, eq, tr, ball_radius=0.1)
+    res = conjugacy_residual(tr, ball_radius=0.1)
     r1, r2, r3 = res["max_residuals"]
     # residual ~ C r^(N+1): ratios within a factor 10 of 2^(N+1)
     assert r1 / r2 == pytest.approx(2.0**9, rel=0.9)
@@ -213,7 +212,7 @@ def test_galerkin_asymmetric_linearizes_at_order_13():
     # 1e-9 * max|lambda| through order 13
     sys, eq = _galerkin_asymmetric_eq0(1.0, -0.5)
     tr = poincare_linearize(sys, eq, order_N=13)
-    r1, r2, _ = conjugacy_residual(sys, eq, tr, ball_radius=0.1)["max_residuals"]
+    r1, r2, _ = conjugacy_residual(tr, ball_radius=0.1)["max_residuals"]
     assert r1 / r2 >= 2.0**13
 
 
@@ -225,3 +224,19 @@ def test_conjugacy_check_refuses_near_resonant_transform():
     assert small_divisor_scan(eq.eigenvalues, 5)[-1]["min_divisor"] == pytest.approx(2.1e-3, rel=0.05)
     with pytest.raises(NormalFormError, match="elimination left residual coefficients"):
         poincare_linearize(sys, eq, order_N=13)
+
+
+@pytest.mark.parametrize("name, params, index, order", [
+    ("galerkin_asymmetric", {"b1": 0.8, "b3": 0.0}, 0, 13),
+    ("homogeneous", {"fy": 0.5, "gx": 3.1}, 2, 14),
+])
+def test_inverse_solves_its_own_equation(name, params, index, order):
+    # Phi = Psi^-1 maps the field to its linear part: DPhi . F = Lambda Phi
+    # through the truncation order, F the localized field Phi was solved against
+    sys = to_charts(catalog_get(name, params).system)
+    tr = poincare_linearize(sys, classified_equilibria(sys)[index], order_N=order)
+    f1, f2 = tr.local_field
+    for phi, li in zip(tr.inverse_components, tr.eigenvalues):
+        resid = (phi.partial_x() * f1 + phi.partial_y() * f2 - phi.scaled(li)).truncated(order)
+        worst = max((abs(c) for c in resid.terms.values()), default=0.0)
+        assert worst < 1e-11 * max(abs(v) for v in tr.eigenvalues)

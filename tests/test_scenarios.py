@@ -80,6 +80,20 @@ def test_rational_node_rejects_resonant():
         catalog_get("rational_node", {"n1": 2, "n2": 4})
 
 
+@pytest.mark.parametrize("name, key", [
+    ("scalar_poly", "m"), ("cyclotomic", "m"),
+    ("rational_node", "n1"), ("rational_node", "n2"),
+    ("reciprocal_linear", "n1"), ("reciprocal_linear", "n2"),
+])
+def test_whole_number_parameters_are_not_truncated(name, key):
+    default = catalog_get(name).parameters[key]
+    # a whole float is the same parameter; anything else is refused, not rounded down
+    assert catalog_get(name, {key: float(default)}).system == catalog_get(name).system
+    for bad in (default + 0.5, math.nan, math.inf):
+        with pytest.raises(ExcludedParameterError, match="whole number"):
+            catalog_get(name, {key: bad})
+
+
 def test_galerkin_excluded_parameters():
     with pytest.raises(ExcludedParameterError):
         catalog_get("galerkin_symmetric", {"a": 1.0})
