@@ -1,13 +1,13 @@
 """Command-line driver: classification, integration, detours, holonomy,
-linearization, portraits, pendulum windings, tree counts, and the catalog.
+linearization, portraits, pendulum windings, and the catalog.
 
 System arguments accept either a JSON file path or a ``catalog:`` URI such
 as ``catalog:galerkin_symmetric?a=2``.  Each subcommand parses its flags,
-calls the library and prints the records it returns.  Every report,
-``trees`` included, is one JSON document written by ``json.dumps``, so
-every float is its shortest repr that reads back as the same double, and
-identical invocations are byte-identical; only ``integrate`` (a CSV of
-samples) and the files ``portrait`` writes are not JSON, and SVG output
+calls the library and prints the records it returns.  Every report is one
+JSON document written by ``json.dumps``, so every float is its shortest
+repr that reads back as the same double, and identical invocations are
+byte-identical; only ``integrate`` (a CSV of samples) and the files
+``portrait`` writes are not JSON, and SVG output
 carries a timestamp comment unless ``--reproducible`` is passed.  Library
 records are written as they are, their fields in order as the report's
 keys: complex numbers as [re, im], tuples as lists, fractions as [num, den],
@@ -55,7 +55,7 @@ from blowup.flow import (
 from blowup.hamiltonian import PolynomialHamiltonian, hamiltonian_field, pendulum_loop_windings
 from blowup.holonomy import approach_blowup, blowup_star, holonomy_multiplier, masuda_detour
 from blowup.normalform import conjugacy_residual, poincare_linearize
-from blowup.scenarios import catalog_get, catalog_names, tree_count
+from blowup.scenarios import catalog_get, catalog_names
 
 __all__ = ["main", "run_command", "PortraitSpec", "sample_portrait"]
 
@@ -340,12 +340,6 @@ def cmd_pendulum(args) -> None:
     _emit(args, {"force_coefficients": coeffs, **pendulum_loop_windings(coeffs, loop_radius=args.radius)})
 
 
-def cmd_trees(args) -> None:
-    if args.max_m < 2:
-        raise CliValidationError("--max-m must be at least 2")
-    _emit(args, {"counts": [{"m": m, "count": tree_count(m)} for m in range(2, args.max_m + 1)]})
-
-
 def cmd_catalog(args) -> None:
     if args.action == "list":
         _emit(args, {"names": catalog_names()})
@@ -579,11 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=float, default=0.05)
     p.add_argument("--output")
     p.set_defaults(func=cmd_pendulum)
-
-    p = sub.add_parser("trees", help="planar tree counts")
-    p.add_argument("--max-m", type=int, required=True, dest="max_m")
-    p.add_argument("--output")
-    p.set_defaults(func=cmd_trees)
 
     p = sub.add_parser("catalog", help="built-in reference systems")
     p.add_argument("action", choices=["list", "show"])

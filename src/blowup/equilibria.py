@@ -455,8 +455,11 @@ def small_divisor_scan(eigenvalues: tuple[complex, complex], max_order: int = 50
     proof of any Diophantine condition.  Divisors within a few ulps of the
     minimum (rational spectra tie exactly) count as equal, and the row names
     the smallest ``(component, alpha)`` among them.  The scan is quadratic in
-    ``max_order``, so orders above 1000 are refused.
+    ``max_order``, so orders above 1000 are refused, and so are orders below
+    2, which would scan nothing.
     """
+    if max_order < 2:
+        raise ValueError(f"max_order {max_order} is below 2; the scan starts at order 2")
     if max_order > _MAX_SCAN_ORDER:
         raise ValueError(f"max_order {max_order} exceeds {_MAX_SCAN_ORDER}; the scan is quadratic in it")
     l1, l2 = eigenvalues

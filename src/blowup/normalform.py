@@ -217,9 +217,10 @@ def conjugacy_residual(transform: TruncatedTransform, ball_radius: float) -> dic
     Samples points in the straightened ball, pushes them through the
     transform, evaluates there the field it was solved against, pulls the
     vector back through the Jacobian of the transform, and measures the gap to
-    diag(l1, l2).  ``fitted_order`` is the log2 slope of the max residual
-    across radii (r, r/2, r/4); residuals at the roundoff floor are treated
-    as exact and give an infinite slope.
+    diag(l1, l2).  ``fitted_order`` is the smaller log2 slope of the max
+    residual across radii (r, r/2, r/4), taken only over neighbouring pairs
+    whose smaller residual is at or above the roundoff floor: a slope of
+    roundoff is no order.  With no such pair it is infinite.
     """
     if not 0.0 < ball_radius <= 0.5:  # also refuses NaN
         raise ValueError(f"ball_radius must lie in (0, 0.5], got {ball_radius!r}")
@@ -240,17 +241,10 @@ def conjugacy_residual(transform: TruncatedTransform, ball_radius: float) -> dic
             pulled = solve_2x2([row(*pt) for row in dpsi], field(*psi(*pt)))
             worst = max(worst, abs(pulled[0] - l1 * pt[0]), abs(pulled[1] - l2 * pt[1]))
         maxima.append(worst)
-    if max(maxima) < _ROUNDOFF_FLOOR:
-        slope = float("inf")
-    else:
-        floored = [max(v, 1e-300) for v in maxima]
-        slopes = [
-            math.log(floored[i] / floored[i + 1]) / math.log(2.0)
-            for i in range(len(radii) - 1)
-        ]
-        slope = min(slopes)
+    slopes = [math.log(big / small) / math.log(2.0)
+              for big, small in zip(maxima, maxima[1:]) if min(big, small) >= _ROUNDOFF_FLOOR]
     return {
         "radii": radii,
         "max_residuals": tuple(maxima),
-        "fitted_order": slope,
+        "fitted_order": min(slopes, default=math.inf),
     }

@@ -5,10 +5,6 @@ Hamiltonian) from its parameters and records the quantities that can be
 written in closed form: equilibrium positions, eigenvalue pairs, spectral
 quotients, expected detour closure counts, and winding numbers.  The test
 suite and the CLI demos treat these expected maps as oracles.
-
-Also here: the exact count of orientation-preserving equivalence classes of
-generic degree-m scalar flows on the Riemann sphere, equal to the number of
-planar trees with m vertices, evaluated in exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -17,7 +13,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Any, Callable
 
 from blowup.algebra import BivariatePolynomial, PlanarField
@@ -28,10 +24,8 @@ __all__ = [
     "UnknownNameError",
     "MissingParameterError",
     "ExcludedParameterError",
-    "OutOfRangeError",
     "catalog_get",
     "catalog_names",
-    "tree_count",
     "galerkin_spectrum",
     "GOLDEN_MEAN",
 ]
@@ -41,19 +35,15 @@ P = BivariatePolynomial.from_coeffs
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-class UnknownNameError(KeyError):
+class UnknownNameError(LookupError):
     pass
 
 
-class MissingParameterError(KeyError):
+class MissingParameterError(LookupError):
     pass
 
 
 class ExcludedParameterError(ValueError):
-    pass
-
-
-class OutOfRangeError(ValueError):
     pass
 
 
@@ -410,42 +400,6 @@ def catalog_get(name: str, params: dict | None = None) -> CatalogEntry:
     except KeyError:
         raise UnknownNameError(f"unknown catalog entry {name!r}; see catalog_names()") from None
     return builder(params or {})
-
-
-def tree_count(m: int) -> int:
-    """Number of planar trees with m vertices, m between 2 and 30.
-
-    Counts equivalence classes of generic degree-m scalar flows on the
-    Riemann sphere via their reduced connection graphs.  Evaluated through
-    the cycle-index sum over chord diagrams: with n = m - 1,
-
-        A_m = C(2n, n)/(2 n m)  +  [m even] C(m, m/2)/(4 n)
-              + (1/(2n)) * sum over divisors k of n with k <= m-2
-                           of C(2k, k) * phi(n/k),
-
-    where the k = 1 divisor term reduces to phi(n)/n.  Exact rational
-    arithmetic throughout; integrality of the result is asserted.
-    """
-    if not (2 <= m <= 30):
-        raise OutOfRangeError("m must lie between 2 and 30")
-    n = m - 1
-    total = Fraction(comb(2 * n, n), 2 * n * m)
-    if m % 2 == 0:
-        total += Fraction(comb(m, m // 2), 4 * n)
-    for k in range(1, m - 1):
-        if n % k == 0:
-            total += Fraction(comb(2 * k, k) * _totient(n // k), 2 * n)
-    if total.denominator != 1:
-        raise ArithmeticError(f"tree count for m={m} not integral: {total}")
-    return int(total)
-
-
-def _totient(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        if gcd(k, n) == 1:
-            count += 1
-    return count
 
 
 def galerkin_spectrum(variant: str, params: dict) -> list[dict]:

@@ -1,3 +1,5 @@
+import ast
+import functools
 import json
 import math
 import os
@@ -34,10 +36,13 @@ def _error_line(capsys) -> dict:
     pytest.param(["catalog", "show", "riccati", "--params", "a=0"], id="riccati-zero-rate"),
     pytest.param(["catalog", "show", "homogeneous", "--params", "gx=1"], id="homogeneous-gx-one"),
     pytest.param(["classify", "catalog:homogeneous?gx=1"], id="classify-homogeneous-gx-one"),
-    pytest.param(["trees", "--max-m", "31"], id="trees-out-of-range"),
     pytest.param(["linearize", "catalog:galerkin_symmetric", "--eq", "0", "--order", "20"], id="order-too-high"),
     pytest.param(["classify", "catalog:golden_node", "--small-divisors", "--small-divisor-order", "100000000"],
                  id="small-divisor-order-too-high"),
+    pytest.param(["classify", "catalog:golden_node", "--small-divisors", "--small-divisor-order", "1"],
+                 id="small-divisor-order-one"),
+    pytest.param(["classify", "catalog:golden_node", "--small-divisors", "--small-divisor-order", "-5"],
+                 id="small-divisor-order-negative"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
     pytest.param(["holonomy", "catalog:riccati", "--eq", "2"], id="holonomy-at-a-finite-equilibrium"),
@@ -76,6 +81,19 @@ def _error_line(capsys) -> dict:
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
     assert _error_line(capsys)["error"] == "validation"
+
+
+@pytest.mark.parametrize("argv, start", [
+    pytest.param(["catalog", "show", "no_such_entry"], "unknown catalog entry 'no_such_entry'", id="unknown-entry"),
+    pytest.param(["catalog", "show", "riccati", "--params", "bogus=1"], "unknown parameter 'bogus'",
+                 id="unknown-parameter"),
+])
+def test_catalog_lookup_error_is_quoted_once(argv, start, capsys):
+    # a KeyError would quote its message again: "\"unknown catalog entry ...\""
+    assert run_command(argv) == 2
+    err = _error_line(capsys)
+    assert err["error"] == "validation"
+    assert err["message"].startswith(start)
 
 
 _FIELD = {"f": [[2, 0, 1.0, 0.0]], "g": [[0, 1, -1.0, 0.0]]}
@@ -168,6 +186,7 @@ def test_path_cycles_repeat_its_segments(system, start, tmp_path, capsys):
     for doc in ({"segments": [_LOOP], "cycles": 3}, {"segments": [_LOOP] * 3}):
         path = tmp_path / "path.json"
         path.write_text(json.dumps(doc))
+        assert _schema_errors("path_spec", doc) == []
         assert run_command(["integrate", system, "--path", str(path), "--start", start]) == 0
         csv.append(capsys.readouterr().out)
     assert csv[0] == csv[1]
@@ -226,7 +245,9 @@ def test_system_file_classifies_like_its_catalog_twin(name, tmp_path, capsys):
     # g rows, a Hamiltonian as H rows and its level
     assert run_command(["catalog", "show", name]) == 0
     file = tmp_path / f"{name}.json"
-    file.write_text(json.dumps(json.loads(capsys.readouterr().out)["system"]))
+    system = json.loads(capsys.readouterr().out)["system"]
+    assert _schema_errors("system_spec", system) == []
+    file.write_text(json.dumps(system))
     reports = []
     for system in (str(file), f"catalog:{name}"):
         assert run_command(["classify", system]) == 0
@@ -237,7 +258,7 @@ def test_system_file_classifies_like_its_catalog_twin(name, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, code", [
     pytest.param(["catalog", "list"], 0, id="catalog-list"),
-    pytest.param(["trees", "--max-m", "1"], 2, id="trees-max-m-below-2"),
+    pytest.param(["catalog", "show", "no_such_entry"], 2, id="catalog-show-unknown-entry"),
 ])
 def test_module_entry_point_exits_with_the_command_code(argv, code):
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -324,7 +345,7 @@ def test_portrait_schema_lists_every_key_the_reader_reads(monkeypatch):
 
     used = read | _key_paths(_SPEC) | _key_paths(_FULL_SPEC)
     assert sorted(p for p in used if not listed(p)) == []
-    assert [e.message for e in _validators()["portrait_spec"].iter_errors(_FULL_SPEC)] == []
+    assert _schema_errors("portrait_spec", _FULL_SPEC) == []
 
 
 def test_approach_that_misses_the_ball_names_its_reason(capsys):
@@ -373,12 +394,18 @@ def test_dump_json_round_trips_value_and_type(value, plain):
     assert repr(json.loads(dump_json(value))) == repr(plain)
 
 
+@functools.cache
 def _validators() -> dict:
     docs = {p.name.removesuffix(".schema.json"): json.loads(p.read_text())
             for p in SCHEMAS.glob("*.schema.json")}
     registry = Registry().with_resources(
         (doc["$id"], Resource.from_contents(doc)) for doc in docs.values())
     return {name: Draft202012Validator(doc, registry=registry) for name, doc in docs.items()}
+
+
+def _schema_errors(schema: str, doc) -> list:
+    """What is wrong with ``doc`` under ``schemas/<schema>.schema.json``; the tests validate only through here."""
+    return [e.message for e in _validators()[schema].iter_errors(doc)]
 
 
 def _refuse(token):
@@ -391,17 +418,23 @@ REPORTS = [
     ("detour_report", ["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--star"]),
     ("transform_dump", ["linearize", "catalog:galerkin_symmetric", "--eq", "3", "--order", "6"]),
     ("pendulum_report", ["pendulum", "--g=-6,0,6"]),
-    ("trees_report", ["trees", "--max-m", "12"]),
 ] + [("catalog_entry", ["catalog", "show", name]) for name in catalog_names()]
 
 
 def test_every_report_is_strict_json_and_matches_its_schema(capsys):
-    validators = _validators()
     for schema, argv in REPORTS:
         assert run_command(argv) == 0, argv
         doc = json.loads(capsys.readouterr().out, parse_constant=_refuse)
-        errors = [e.message for e in validators[schema].iter_errors(doc)]
+        errors = _schema_errors(schema, doc)
         assert not errors, (argv, errors)
+
+
+def test_every_schema_is_validated_against():
+    # a schema no test validates against is checked by nothing, or describes nothing
+    calls = [node.args[0] for node in ast.walk(ast.parse(Path(__file__).read_text()))
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_schema_errors"]
+    validated = {c.value for c in calls if isinstance(c, ast.Constant)} | {schema for schema, _ in REPORTS}
+    assert validated == set(_validators()) - {"defs"}
 
 
 def test_cli_import_does_not_load_numpy():

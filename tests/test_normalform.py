@@ -240,3 +240,35 @@ def test_inverse_solves_its_own_equation(name, params, index, order):
         resid = (phi.partial_x() * f1 + phi.partial_y() * f2 - phi.scaled(li)).truncated(order)
         worst = max((abs(c) for c in resid.terms.values()), default=0.0)
         assert worst < 1e-11 * max(abs(v) for v in tr.eigenvalues)
+
+
+@pytest.mark.parametrize("name, params, index", [
+    ("cyclotomic", {}, 2),
+    ("galerkin_symmetric", {"a": 2.618033988749895}, 0),
+])
+def test_fitted_order_takes_no_slope_from_roundoff(name, params, index):
+    # residuals (1.1e-11, 6.4e-16, 3.0e-17) and (2.1e-12, 1.1e-16, 3.1e-17):
+    # every pair has its smaller residual below the roundoff floor, and the
+    # slope of roundoff (4.4 and 1.9) is no order of the transform
+    sys = to_charts(catalog_get(name, params).system)
+    tr = poincare_linearize(sys, classified_equilibria(sys)[index], order_N=13)
+    res = conjugacy_residual(tr, ball_radius=0.1)
+    assert res["max_residuals"][0] > 1e-13 > res["max_residuals"][1]
+    assert res["fitted_order"] == math.inf
+
+
+@pytest.mark.parametrize("name, params, index, order", [
+    ("golden_node", {}, 0, 8),
+    ("galerkin_asymmetric", {"b1": 1.0, "b3": 0.0}, 0, 13),
+    ("homogeneous", {"fy": 1.0, "gx": 3.0}, 1, 12),
+])
+def test_to_straightened_inverts_the_transform(name, params, index, order):
+    # a point p of the straightened ball is the chart point offset + V . Psi(p)
+    sys = to_charts(catalog_get(name, params).system)
+    tr = poincare_linearize(sys, classified_equilibria(sys)[index], order_N=order)
+    (v11, v12), (v21, v22) = tr.linear_map
+    for p in [(0.02, 0.0), (0.0, -0.02j), (0.014 + 0.014j, -0.01 + 0.017j), (-0.003, 0.0199)]:
+        loc = [c(*p) for c in tr.components]
+        point = (tr.offset[0] + v11 * loc[0] + v12 * loc[1], tr.offset[1] + v21 * loc[0] + v22 * loc[1])
+        back = tr.to_straightened(point)
+        assert max(abs(b - q) for b, q in zip(back, p)) < 1e-14

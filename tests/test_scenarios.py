@@ -9,15 +9,11 @@ from blowup.hamiltonian import PolynomialHamiltonian
 from blowup.scenarios import (
     ExcludedParameterError,
     MissingParameterError,
-    OutOfRangeError,
     UnknownNameError,
     catalog_get,
     catalog_names,
     galerkin_spectrum,
-    tree_count,
 )
-
-TREE_SEQUENCE = [1, 1, 2, 3, 6, 14, 34, 95, 280, 854, 2694, 8714, 28640, 95640, 323396]
 
 
 # ----------------------------------------------------------------- catalog
@@ -111,24 +107,6 @@ def test_hamiltonian_entries_build_hamiltonians():
     for name in ("weierstrass", "duffing", "linear_pendulum"):
         entry = catalog_get(name)
         assert isinstance(entry.system, PolynomialHamiltonian)
-
-
-# --------------------------------------------------------------- tree_count
-
-def test_tree_count_sequence():
-    assert [tree_count(m) for m in range(2, 17)] == TREE_SEQUENCE
-
-
-def test_tree_count_integrality_up_to_30():
-    for m in range(2, 31):
-        assert tree_count(m) > 0
-
-
-def test_tree_count_range():
-    with pytest.raises(OutOfRangeError):
-        tree_count(1)
-    with pytest.raises(OutOfRangeError):
-        tree_count(31)
 
 
 # --------------------------------------------------------- galerkin_spectrum
