@@ -439,7 +439,9 @@ def sample_portrait(csys: ChartSystem, spec: PortraitSpec) -> tuple[list[dict], 
     """Integrate every grid seed; returns per-seed polylines and an SVG body.
 
     Seeds run one after another and results come back in seed order, each
-    with the reason its integration stopped.
+    with the reason its integration stopped.  A polyline's points are the
+    start and the step ends (and the restated point of a chart switch), so
+    long series steps give few of them.
     """
     results = []
     for idx, seed in enumerate(spec.seeds):

@@ -5,24 +5,40 @@ polynomial field is divided pointwise by the Euler multiplier u^(m-1)
 (resp. v^(m-1)), which is exactly the time transform dt = u^(m-1) dt1; this
 keeps a single global clock while the state may hop between charts.
 
-The stepper is the embedded Dormand-Prince 5(4) pair (Hairer, Norsett &
-Wanner, *Solving ODEs I*, II.4-II.5) with PI step-size control, on a state
-that is a tuple of Python ``complex`` throughout.  A step's raw error is the
-RMS over complex components of |err| / (abs_tol + rel_tol * max(|y|, |y_new|)).
-The controller sees one error measure, the raw error per unit step, where a
-step shorter than the roundoff floor 8 eps / rel_tol is charged as one of
-that length: the embedded error of any step carries roundoff of the state
-at that level, so demanding less of a short step cannot be met.  A stage
-that divides by zero or overflows counts as an infinite error.  The last
-stage of an accepted step is the first stage of the next one (FSAL), and a
-rejected attempt keeps its first stage, so a step costs 6 RHS calls.
+The stepper is a Taylor series method (Corliss & Chang, "Solving ordinary
+differential equations using Taylor series", ACM TOMS 8, 1982; Jorba & Zou,
+"A software package for the numerical integration of ODEs by means of
+high-order Taylor methods", Experimental Mathematics 14, 2005), on a state
+that is a tuple of Python ``complex`` throughout.  Every field it meets is
+y' = P(y) / D(y) with P polynomial: D is 1 in XY, the Euler multiplier
+u^(m-1) in a blow-up chart, and the base field g in ``continue_leaf``,
+where the base coordinate is the independent variable.  At each step the
+coefficients of y(t0 + tau) = sum_k y_k tau^k follow from Cauchy products of
+the state's series and the quotient recurrence q_k = (P_k - sum_(j>=1)
+D_j q_(k-j)) / D_0, y_(k+1) = q_k / (k+1), at O(p^2) per product.  The
+straight-line code is compiled once per monomial structure and order, bound
+to a field's coefficients on first use (``_series``), and kept on the
+``PlanarField`` like its evaluator.
 
-One attempt is straight-line code, compiled once per state size (1 for
-``continue_leaf``, 2 for ``integrate_path``): from the first stage it
-evaluates the other six, and returns the new state, the raw error and the
-seventh stage, which FSAL hands on.  Each sum is the tableau's arithmetic
-in the tableau's order, term by term with zero weights included, so the
-floats are those of applying the tableau with loops.
+The order is p = ceil(-ln(rel_tol) / 2) + 1 (Jorba & Zou's rule; rel_tol
+is taken no smaller than machine epsilon), and the last two coefficients
+set the step with the error-per-unit-step meaning of a classical
+controller: with weights 1 / (abs_tol + rel_tol |y_0|) and the RMS over
+components, a step h in path parameter at path speed v = |dt/ds| is charged
+||y_k|| (v h)^k for k = p-1 and p, each charge per unit step (divided by h)
+is at most 1, and the step taken is 0.8 of the longest that passes.  No
+step is rejected.  The step also ends at ``max_step`` and at the segment
+end, and moves the state by evaluating the series at the chord
+dt = path.point(s + h) - path.point(s): the solution is analytic, so inside
+its disc of convergence the chord gives the value the arc would.  A pole at
+the expansion point (a zero D_0, such as u = 0 in a blow-up chart) or
+coefficients that overflow end the march with ``StepUnderflowError``.
+
+In the designated equilibrium's chart a step may carry the state at most
+half its distance to that equilibrium, where the distance moved is bounded
+by the majorant sum_(k>=1) |y_k| (v h)^k of each component: so no step
+jumps over the singularity ball, and a run heading straight in covers at
+most half the remaining distance per step until it is inside.
 
 A ``TimePath`` is only its segments, each joined to the next within 1e-12
 and the roundoff of evaluating a segment's end.  A loop run k times is its
@@ -31,31 +47,29 @@ cycles=k)`` is k full arcs): the join from the end of one round to the
 start of the next is checked like every other join, and the march meets it
 as one more corner.
 
-Both integrators, ``integrate_path`` and ``continue_leaf``, march through
-``_march(path, y0, cfg, rhs, on_step)``, the only loop that takes steps: it
-calls the compiled attempt and runs the step controller itself.  It walks
-the path one segment at a time, because corners are derivative jumps: segment
-``floor(s + 1e-9)`` runs up to its end, and the step controller starts
-afresh at every corner.  Inside a segment both callbacks see the global
-parameter ``s``, the state ``y``, the active segment and its local
-parameter ``sigma``, clamped to [0, 1] because adaptive stages may poke a
-rounding error past the corner, where the path velocity jumps.
-``rhs(s, y, seg, sigma)`` returns dy/ds, and must be a pure function of
-those arguments between ``on_step`` calls; ``on_step`` may change it only
-when it returns a replacement state, because the stage reused by FSAL was
-computed before ``on_step`` ran.  ``on_step(s, y, seg, sigma)`` runs after
-every accepted step and returns ``None`` to go on, a ``Termination`` to stop
-there, or a replacement state (a chart switch), from which the march
-restarts the step controller at the same ``s`` towards the same segment
-end.  ``_march`` returns ``Termination.COMPLETED`` when the path is done,
-and raises ``StepUnderflowError`` when the step collapses.
+Every integrator marches through ``_march(path, y0, cfg, expand,
+on_step)``, the only loop that takes steps.  It walks the path one segment
+at a time, because corners are derivative jumps: segment ``floor(s +
+1e-9)`` runs up to its end, and no step crosses a corner.
+``expand(t, y)`` returns the series coefficients of every component at
+the path point ``t`` and state ``y``, and ``reach``, the distance the state
+may move in this step (``math.inf`` when nothing caps it).
+``on_step(s, y, seg, sigma)`` runs after every step with the global
+parameter ``s``, the state, the active segment and its local parameter
+``sigma`` in [0, 1], and returns ``None`` to go on, a ``Termination`` to
+stop there, or a replacement state (a chart switch), from which the next
+step expands with whatever ``expand`` is then bound to.  ``_march``
+returns ``Termination.COMPLETED`` when the path is done, and raises
+``StepUnderflowError`` when the step collapses.
 
 ``integrate_path`` takes a ``ChartSystem`` and a start chart, since it may
 switch charts.  ``continue_leaf(fld, base_loop, fiber_start, cfg)`` takes
 only the ``PlanarField`` it transports (first coordinate the fiber, second
 the base, which follows ``base_loop``); it returns ``fiber_end`` and
-``fiber_trace``, the ``(s, fiber)`` pairs of the start and of every accepted
-step, and raises ``SectionTangencyError`` where the base field vanishes.
+``fiber_trace``, the ``(s, fiber)`` pairs of the start and of every step
+end, and raises ``SectionTangencyError`` where the base field vanishes.
+``time_to_equilibrium`` runs a blow-up chart's field in its own time into
+an equilibrium at infinity, and returns the original time that takes.
 """
 
 from __future__ import annotations
@@ -68,7 +82,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from blowup.algebra import Chart, ChartSystem, PlanarField, chart_point
+from blowup.algebra import BivariatePolynomial, Chart, ChartSystem, PlanarField, chart_point
 
 __all__ = [
     "Line",
@@ -87,12 +101,16 @@ __all__ = [
     "integrate_path",
     "winding_number",
     "continue_leaf",
+    "time_to_equilibrium",
 ]
 
 _JOIN_TOL = 1e-12
 _DIVERGE_NORM = 1e12
 _SWITCH_THRESHOLD = 2.0  # leave a chart once a coordinate exceeds this
 _UNDERFLOW_FACTOR = 1e-14
+_SAFETY = 0.8  # fraction of the step the tolerance allows that is taken
+_ARRIVAL = 1e-14  # distance at which the chart-time flow has reached its equilibrium
+_CLOCK_SPAN = 1e3  # chart time allowed for that, in units of 1 / |lambda_u|
 
 
 class FlowError(RuntimeError):
@@ -222,6 +240,18 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class IntegrationConfig:
+    """Tolerances and limits of one integration.
+
+    ``rel_tol`` sets the series order, p = ceil(-ln(rel_tol) / 2) + 1.
+    ``rel_tol`` and ``abs_tol`` together bound each step's last two series
+    terms per unit of path parameter, measured against abs_tol + rel_tol
+    |y| in each component (RMS over components): the truncation error a
+    step may leave, not the global error, which accumulates over the path.
+    ``max_step`` caps a step in path parameter (a fraction of a segment),
+    and ``singularity_radius`` is the ball around a designated equilibrium
+    that ends ``integrate_path``.
+    """
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_step: float = 0.05
@@ -234,141 +264,221 @@ class IntegrationConfig:
                 raise ValueError(f"{name} must lie in (0, 1e-2]")
         for name in ("max_step", "singularity_radius"):
             v = getattr(self, name)
-            if not 0.0 < v < math.inf:  # also refuses NaN, on which the step controller never ends
+            if not 0.0 < v < math.inf:  # also refuses NaN, on which the march never ends
                 raise ValueError(f"{name} must be finite and positive, got {v!r}")
 
 
-# Dormand-Prince RK5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+def _order(rel_tol: float) -> int:
+    """Series order p = ceil(-ln(rel_tol) / 2) + 1; below machine epsilon no more terms can help."""
+    return math.ceil(-math.log(max(rel_tol, sys.float_info.epsilon)) / 2.0) + 1
 
 
-# error weights b5 - b4: the step's error straight from the stages, not as y5 - y4, which cancels
-_DP_E = tuple(b5 - b4 for b5, b4 in zip(_DP_B5, _DP_B4))
+def _series(fld: PlanarField, order: int, kind: str, exponent: int | None = None) -> Callable:
+    """The generated Taylor series of one of ``fld``'s flows, built on first use and kept on ``fld``.
+
+    ``kind`` "path" is y' = (f, g) / x^exponent (no division when
+    ``exponent`` is None), "leaf" is y' = f / g with the second coordinate
+    the independent variable, and "clock" is (f, g) with a third component
+    whose derivative is x^exponent.  ``series(state, t)`` returns, per state
+    component, its coefficients y_0 .. y_order in powers of the increment of
+    the independent variable, whose value is ``t``.
+    """
+    cache = fld.__dict__.setdefault("_series", {})
+    key = (kind, exponent, order)
+    if key not in cache:
+        power = None if exponent is None else BivariatePolynomial({(exponent, 0): 1.0})
+        rows, denominator = {"path": ((fld.f, fld.g), power), "leaf": ((fld.f,), fld.g),
+                             "clock": ((fld.f, fld.g, power), None)}[kind]
+        polys = rows if denominator is None else (*rows, denominator)
+        bind = _series_code(tuple(tuple(p.terms) for p in polys), denominator is not None, kind == "leaf", order)
+        cache[key] = bind(*(c for p in polys for c in p.terms.values()))
+    return cache[key]
 
 
 @functools.cache
-def _compile_attempt(n: int) -> Callable:
-    """Straight-line code for one DP5(4) attempt on an ``n``-component state.
+def _series_code(keys: tuple[tuple[tuple[int, int], ...], ...], divided: bool, base: bool, order: int) -> Callable:
+    """Straight-line code for the Taylor coefficients of y' = rows / denominator, as a function of their coefficients.
 
-    ``attempt(s, y, h, k1, rhs, seg, idx, atol, rtol)`` evaluates stages 2-7,
-    each at its local parameter clamped to [0, 1], and returns ``(y_new,
-    err_raw, k7)``, where ``k7`` is dy/ds at ``(s + h, y_new)``.  Every sum
-    is ``y_i + h * (0j + w1 * k1_i + w2 * k2_i + ...)`` over all weights of
-    its tableau row, zeros included, and the error's mean square is summed
-    from 0 in component order: the arithmetic of applying the tableau term
-    by term, so the floats are the same.  The weights are bound as names,
-    never formatted into the source.
+    ``keys`` holds the monomials of each row and, when ``divided``, of the
+    denominator last.  The polynomials are in (x, y): the first two state
+    components, or, with ``base``, the first component and the independent
+    variable itself, whose series is (t, 1).  Components past the second
+    are quadratures, which appear in no polynomial.  Per order k, in this
+    order:
+
+    - each power x^j = x^(j-1) * x, y^l = y^(l-1) * y and product
+      x^j * y^l is the Cauchy sum over i = 0 .. k of a_i * b_(k-i);
+    - the denominator D_k, then each row P_k, is the sum of c * (monomial)_k
+      in the polynomial's term order;
+    - q_k = (P_k - sum_(j=1..k) D_j q_(k-j)) / D_0, or q_k = P_k undivided,
+      and y_(k+1) = q_k / (k + 1).
+
+    Terms that are zero by degree (powers of the base past their degree,
+    the constant past order 0) are left out, and a factor 1 is not
+    multiplied: that changes no finite float.  The coefficients are bound
+    as names, never formatted into the source, so the code is compiled once
+    per monomial structure and order.  A zero D_0 raises
+    ``ZeroDivisionError``.
     """
-    values: list[float] = []
+    nodes: list[tuple[str, tuple, tuple]] = []  # (name, left, right) products, in dependency order
+    # a series is (name, degree): coefficient k is the local name_k up to its degree, zero past it
+    x, y = ("a0", math.inf), ("b", 1) if base else ("a1", math.inf)
+    monomials: dict[tuple[int, int], tuple[str, float]] = {(0, 0): ("one", 0), (1, 0): x, (0, 1): y}
 
-    def bind(row: Sequence[float]) -> list[str]:
-        values.extend(row)
-        return [f"w{i}" for i in range(len(values) - len(row), len(values))]
+    def coeff(series: tuple[str, float], k: int) -> str | None:
+        name, degree = series
+        if k > degree:
+            return None
+        if name == "one":
+            return "1"
+        return ("t", "1")[k] if name == "b" else f"{name}_{k}"
 
-    def total(ws: list[str], i: int) -> str:
-        return " + ".join(["0j"] + [f"{w} * k{j}_{i}" for j, w in enumerate(ws, start=1)])
+    def times(a: str, b: str) -> str:
+        return b if a == "1" else a if b == "1" else f"{a} * {b}"
 
-    def unpack(var: str) -> str:
-        return "".join(f"{var}_{i}, " for i in range(n)) + f"= {var}"
+    def monomial(j: int, l: int) -> tuple[str, float]:
+        if (j, l) not in monomials:
+            if l == 0:
+                left, right = monomial(j - 1, 0), x
+            elif j == 0:
+                left, right = monomial(0, l - 1), y
+            else:
+                left, right = monomial(j, 0), monomial(0, l)
+            monomials[(j, l)] = (f"n{len(nodes)}", left[1] + right[1])
+            nodes.append((monomials[(j, l)][0], left, right))
+        return monomials[(j, l)]
 
-    comps = range(n)
-    body = [unpack("y"), unpack("k1")]
-    for j, (c, row) in enumerate(zip(_DP_C[1:], _DP_A[1:]), start=2):
-        (cj,), ws = bind((c,)), bind(row)
-        stage = "".join(f"y_{i} + h * ({total(ws, i)}), " for i in comps)
-        body += [f"sc = s + {cj} * h",
-                 "sg = sc - idx",  # clamped as min(max(sg, 0.0), 1.0) is, NaN included
-                 f"k{j} = rhs(sc, ({stage}), seg, 0.0 if sg < 0.0 else 1.0 if sg > 1.0 else sg)",
-                 unpack(f"k{j}")]
-    b5, e = bind(_DP_B5), bind(_DP_E)
-    body += [f"n_{i} = y_{i} + h * ({total(b5, i)})" for i in comps]
-    squares = " + ".join(
-        ["0"] + [f"(abs(0j + h * ({total(e, i)})) / (atol + rtol * max(abs(y_{i}), abs(n_{i})))) ** 2"
-                 for i in comps])
-    body += [f"return ({''.join(f'n_{i}, ' for i in comps)}), sqrt(({squares}) / {n}), k7"]
+    names = iter(range(sum(map(len, keys))))
+    terms = [[(f"c{next(names)}", monomial(j, l)) for j, l in row] for row in keys]
+
+    def value(row: list[tuple[str, tuple[str, float]]], k: int) -> str:
+        parts = [times(name, m) for name, series in row if (m := coeff(series, k)) is not None]
+        return " + ".join(parts) or "0j"
+
+    den_terms = terms.pop() if divided else []
+    den_degree = max((series[1] for _, series in den_terms), default=0)
+    body = ["".join(f"a{i}_0, " for i in range(len(terms))) + "= state"]
+    for k in range(order):
+        for name, left, right in nodes:
+            if k <= left[1] + right[1]:
+                pairs = [times(a, b) for i in range(k + 1)
+                         if (a := coeff(left, i)) is not None and (b := coeff(right, k - i)) is not None]
+                body.append(f"{name}_{k} = {' + '.join(pairs)}")
+        if divided and k <= den_degree:
+            body.append(f"d_{k} = {value(den_terms, k)}")
+        for i, row in enumerate(terms):
+            q = value(row, k)
+            if divided:
+                carried = " + ".join(f"d_{j} * q{i}_{k - j}" for j in range(1, min(k, den_degree) + 1))
+                body.append(f"q{i}_{k} = ({q}{f' - ({carried})' if carried else ''}) / d_0")
+                q = f"q{i}_{k}"
+            body.append(f"a{i}_{k + 1} = {q}" if k == 0 else f"a{i}_{k + 1} = ({q}) / {k + 1}")
+    body.append("return " + "".join(
+        "(" + "".join(f"a{i}_{k}, " for k in range(order + 1)) + "), " for i in range(len(terms))))
     src = "".join(
-        [f"def bind(sqrt, {', '.join(f'w{i}' for i in range(len(values)))}):\n",
-         "    def attempt(s, y, h, k1, rhs, seg, idx, atol, rtol):\n"]
+        [f"def bind({', '.join(f'c{i}' for i in range(sum(map(len, keys))))}):\n",
+         "    def series(state, t):\n"]
         + [f"        {line}\n" for line in body]
-        + ["    return attempt\n"]
+        + ["    return series\n"]
     )
     namespace: dict = {}
     exec(src, namespace)
-    return namespace["bind"](math.sqrt, *values)
+    return namespace["bind"]
+
+
+def _step_length(coeffs: tuple[tuple[complex, ...], ...], cfg: IntegrationConfig, speed: float,
+                 longest: float) -> float:
+    """The step: 0.8 of the longest whose last two series terms meet the tolerance per unit step, up to ``longest``.
+
+    A step h in path parameter at path speed ``speed`` is charged
+    ||y_k|| (speed h)^k for k = p-1 and p, the RMS over components weighted
+    by 1 / (abs_tol + rel_tol |y_0|), and each charge divided by h must be
+    at most 1.  The safety factor 0.8 cuts the truncation error, which
+    scales as h^(p+1), about thirtyfold at p = 15: at tight tolerances that
+    puts it at roundoff, as the short steps of a low-order method did.
+    Worked in logarithms, so no power overflows; a coefficient that is not
+    finite gives 0.
+    """
+    order = len(coeffs[0]) - 1
+    last = before = 0.0  # weighted sums of squares of y_p and y_(p-1)
+    for c in coeffs:
+        w = 1.0 / (cfg.abs_tol + cfg.rel_tol * abs(c[0]))
+        a, b = abs(c[-2]) * w, abs(c[-1]) * w
+        before += a * a
+        last += b * b
+    log_h = math.log(longest / _SAFETY)
+    for k, square in ((order - 1, before), (order, last)):
+        norm = math.sqrt(square / len(coeffs))
+        if norm != norm:
+            return 0.0
+        if norm > 0.0 and speed > 0.0:
+            log_h = min(log_h, -(math.log(norm) + k * math.log(speed)) / (k - 1))
+    return min(longest, _SAFETY * math.exp(log_h))
+
+
+def _moved(coeffs: tuple[tuple[complex, ...], ...], delta: float) -> float:
+    """Majorant of the distance a step of length ``delta`` moves the state: hypot over components of sum_k>=1 |y_k| delta^k."""
+    total = 0.0
+    for c in coeffs:
+        m = 0.0
+        for ck in reversed(c[1:]):
+            m = m * delta + abs(ck)
+        total += (m * delta) * (m * delta)
+    return math.sqrt(total)
 
 
 def _march(
     path: TimePath,
     y0: State,
     cfg: IntegrationConfig,
-    rhs: Callable[[float, State, Segment, float], State],
+    expand: Callable[[complex, State], tuple[tuple[tuple[complex, ...], ...], float]],
     on_step: Callable[[float, State, Segment, float], Termination | State | None],
 ) -> Termination:
-    """Integrate ``rhs`` along ``path`` segment by segment (contract in the module docstring)."""
+    """Integrate along ``path`` segment by segment (contract in the module docstring)."""
     total = float(len(path.segments))
-    safety, order = 0.9, 4.0  # error-per-unit-step: controlled error is O(h^4)
-    # no step's embedded error can drop below roundoff of the state, so a
-    # step shorter than this is charged as one this long: forced-short steps
-    # at segment ends, and every step at tight rel_tol, meet the tolerance
-    # there without the error measure changing its meaning
-    roundoff_floor = 8.0 * sys.float_info.epsilon / cfg.rel_tol
-    attempt, atol, rtol = _compile_attempt(len(y0)), cfg.abs_tol, cfg.rel_tol
     s, y = 0.0, y0
     while s < total - 1e-12:
         idx = min(int(math.floor(s + 1e-9)), int(total) - 1)
         s1 = min(idx + 1.0, total)
         seg = path.segments[idx]
         span = s1 - s
-        h = min(cfg.max_step, span / 10.0, span)
-        prev_err = 1.0
-        k1 = None  # dy/ds at (s, y): kept by a rejected attempt, and FSAL
+        speed = abs(seg.velocity(0.0))  # constant along a line or an arc
         while s < s1 - 1e-15 * max(span, abs(s1)):
-            h = min(h, s1 - s, cfg.max_step)
-            if h < _UNDERFLOW_FACTOR * span:
-                raise StepUnderflowError(f"step underflow at s={s:.6g}")
+            t0 = seg.point(min(max(s - idx, 0.0), 1.0))
             try:
-                if k1 is None:
-                    k1 = rhs(s, y, seg, min(max(s - idx, 0.0), 1.0))
-                y_new, err_raw, k7 = attempt(s, y, h, k1, rhs, seg, idx, atol, rtol)
-            except (ZeroDivisionError, OverflowError):  # a stage hit a pole: an infinite error
-                h *= 0.1
-                continue
-            # error per unit step: accumulated error over the whole span then
-            # tracks the tolerance proportionally, so halving rel_tol (at least)
-            # halves the global drift
-            err = err_raw / max(h, roundoff_floor)
-            if err <= 1.0 or h < 4 * _UNDERFLOW_FACTOR * span:
-                snapped = (s1 - s) <= h * (1.0 + 1e-9)
-                s = s1 if snapped else s + h
-                y = y_new
-                verdict = on_step(s, y, seg, min(max(s - idx, 0.0), 1.0))
-                if isinstance(verdict, Termination):
-                    return verdict
-                if verdict is not None:
-                    y = verdict  # chart switch: the controller restarts at this s
-                    break
-                # FSAL: the last stage is dy/ds at (s + h, y_new), unless s snapped
-                k1 = None if snapped else k7
-                # PI controller (0.7/order, 0.4/order exponents).
-                growth = safety * err ** (-0.7 / order) * prev_err ** (0.4 / order) if err > 0 else 5.0
-                h *= min(5.0, max(0.2, growth))
-                prev_err = max(err, 1e-10)
-            else:
-                h *= max(0.1, safety * err ** (-1.0 / order))
-        else:
-            s = s1  # corner reached; the next segment starts afresh
+                coeffs, reach = expand(t0, y)
+                h = _step_length(coeffs, cfg, speed, min(cfg.max_step, s1 - s))
+                if reach < math.inf:
+                    moved = _moved(coeffs, speed * h)  # the arc is no shorter than the chord
+                    if moved > reach:
+                        h *= reach / moved  # moved(delta) / delta grows with delta
+            except (ZeroDivisionError, OverflowError):  # a pole at the expansion point
+                h = 0.0
+            if not h >= _UNDERFLOW_FACTOR * span:
+                raise StepUnderflowError(f"step underflow at s={s:.6g}")
+            s = s1 if s1 - s <= h * (1.0 + 1e-9) else s + h
+            sigma = min(max(s - idx, 0.0), 1.0)
+            dt = seg.point(sigma) - t0
+            y = tuple(_horner(c, dt) for c in coeffs)
+            verdict = on_step(s, y, seg, sigma)
+            if isinstance(verdict, Termination):
+                return verdict
+            if verdict is not None:
+                y = verdict  # chart switch: the next step expands from here
+        s = s1  # corner reached; the next segment starts afresh
     return Termination.COMPLETED
+
+
+def _horner(c: tuple[complex, ...], dt: complex) -> complex:
+    acc = 0j
+    for ck in reversed(c):
+        acc = acc * dt + ck
+    return acc
+
+
+def _distance(a: Sequence[complex], b: Sequence[complex]) -> float:
+    """Euclidean distance between the first two coordinates of two points of C^2."""
+    return math.hypot(abs(a[0] - b[0]), abs(a[1] - b[1]))
 
 
 def _best_chart(coords: tuple[complex, complex], chart: str) -> tuple[str, tuple[complex, complex]]:
@@ -405,31 +515,32 @@ def integrate_path(
     with ``Diverged`` when no chart keeps the state below 1e12.
     """
     cfg = cfg or IntegrationConfig()
+    order = _order(cfg.rel_tol)
     chart = start_chart
     state = (complex(start_coords[0]), complex(start_coords[1]))
     samples = [TrajectorySample(0.0, path.point(0.0), chart, state)]
+    eq_chart, eq_pt = designated_equilibrium or (None, None)
 
-    def bind(chart: str) -> tuple[PlanarField, int | None]:
-        """The chart's field and Euler exponent (None in XY, where dt/d(chart time) is 1)."""
-        return system.field(chart), None if chart == Chart.XY else system.euler_exponent
+    def bind(chart: str) -> Callable:
+        """The chart's series: its field divided by the Euler multiplier, except in XY."""
+        return _series(system.field(chart), order, "path", None if chart == Chart.XY else system.euler_exponent)
 
-    fld, exponent = bind(chart)  # rebound at a chart switch
+    series = bind(chart)  # rebound at a chart switch
 
-    def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
-        tdot = seg.velocity(sigma)
-        da, db = fld(*y)
-        rho = 1.0 if exponent is None else y[0] ** exponent
-        return da * tdot / rho, db * tdot / rho
+    def expand(t: complex, y: State) -> tuple[tuple[tuple[complex, ...], ...], float]:
+        reach = math.inf
+        if chart == eq_chart:  # no step may jump over the singularity ball
+            reach = 0.5 * _distance(y, eq_pt)
+        return series(y, t), reach
 
     def on_step(s: float, coords: State, seg: Segment, sigma: float) -> Termination | State | None:
-        nonlocal chart, fld, exponent
+        nonlocal chart, series
         t = seg.point(sigma)
         samples.append(TrajectorySample(s, t, chart, coords))
-        if designated_equilibrium is not None:
-            eq_chart, eq_pt = designated_equilibrium
+        if eq_chart is not None:
             try:
                 here = chart_point(coords, chart, eq_chart)
-                if math.hypot(abs(here[0] - eq_pt[0]), abs(here[1] - eq_pt[1])) < cfg.singularity_radius:
+                if _distance(here, eq_pt) < cfg.singularity_radius:
                     return Termination.ENTERED_SINGULARITY_BALL
             except ZeroDivisionError:
                 pass
@@ -438,7 +549,7 @@ def integrate_path(
             new_chart, new_coords = _best_chart(coords, chart)
             if new_chart != chart:
                 chart = new_chart
-                fld, exponent = bind(chart)
+                series = bind(chart)
                 samples.append(TrajectorySample(s, t, chart, new_coords))
                 return new_coords
         if mag > _DIVERGE_NORM:
@@ -447,7 +558,7 @@ def integrate_path(
         return None
 
     try:
-        reason = _march(path, state, cfg, rhs, on_step)
+        reason = _march(path, state, cfg, expand, on_step)
     except StepUnderflowError:
         reason = Termination.STEP_UNDERFLOW
     return Trajectory(tuple(samples), reason)
@@ -502,15 +613,66 @@ def continue_leaf(
     cfg = cfg or IntegrationConfig()
     fiber0 = complex(fiber_start)
     trace = [(0.0, fiber0)]
+    series = _series(fld, _order(cfg.rel_tol), "leaf")
 
-    def rhs(s: float, y: State, seg: Segment, sigma: float) -> State:
-        d_fiber, d_base = fld(y[0], seg.point(sigma))
-        if abs(d_base) < 1e-10 * max(abs(d_fiber), 1e-300):
-            raise SectionTangencyError(f"base field vanished at s={s:.6g}")
-        return (d_fiber / d_base * seg.velocity(sigma),)
+    def expand(t: complex, y: State) -> tuple[tuple[tuple[complex, ...], ...], float]:
+        try:
+            coeffs = series(y, t)
+        except ZeroDivisionError:
+            coeffs = None
+        # the base field below 1e-10 of the fiber field, or zero
+        if coeffs is None or abs(coeffs[0][1]) > 1e10:
+            raise SectionTangencyError(f"base field vanished at {t:.6g}")
+        return coeffs, math.inf
 
     def on_step(s: float, y: State, seg: Segment, sigma: float) -> None:
         trace.append((s, y[0]))
 
-    _march(base_loop, (fiber0,), cfg, rhs, on_step)
+    _march(base_loop, (fiber0,), cfg, expand, on_step)
     return {"fiber_end": trace[-1][1], "fiber_trace": tuple(trace)}
+
+
+def time_to_equilibrium(
+    fld: PlanarField,
+    euler_exponent: int,
+    start: tuple[complex, complex],
+    equilibrium: tuple[complex, complex],
+    cfg: IntegrationConfig | None = None,
+) -> tuple[tuple[complex, tuple[complex, complex]], ...]:
+    """Original time the flow of a blow-up chart takes from ``start`` into ``equilibrium``.
+
+    The chart field runs in its own time t1, where dt = u^(m-1) dt1, with
+    one more component tau' = u^euler_exponent: tau is the original time
+    elapsed.  It runs along the chart-time ray t1 = -L / lambda_u, with
+    lambda_u = dF_u/du at the equilibrium, on which |u| decays as e^(-L),
+    until the state is within 1e-14 of the equilibrium.  Returns the
+    ``(tau, state)`` pairs of the start and of every step end; the last tau
+    is the time to the equilibrium itself, to within the tolerance.  Raises
+    ``FlowError`` when the state does not arrive: when a coordinate passes
+    2 (it has left the chart), or when the ray ends first, as it does off
+    the stable separatrix of a saddle, where the flow settles elsewhere.
+    """
+    cfg = cfg or IntegrationConfig()
+    u0, z0 = equilibrium
+    lam_u = sum(j * c * u0 ** (j - 1) * z0**k for (j, k), c in fld.f.terms.items() if j >= 1)
+    if lam_u == 0:
+        raise FlowError("dF_u/du vanishes at the equilibrium: u does not decay in chart time")
+    series = _series(fld, _order(cfg.rel_tol), "clock", euler_exponent)
+    tail = [(0j, (complex(start[0]), complex(start[1])))]
+
+    def expand(t: complex, y: State) -> tuple[tuple[tuple[complex, ...], ...], float]:
+        return series(y, t), math.inf
+
+    def on_step(s: float, y: State, seg: Segment, sigma: float) -> Termination | None:
+        tail.append((y[2], (y[0], y[1])))
+        if _distance(y, equilibrium) < _ARRIVAL:
+            return Termination.ENTERED_SINGULARITY_BALL
+        return Termination.DIVERGED if max(abs(y[0]), abs(y[1])) > _SWITCH_THRESHOLD else None
+
+    ray = TimePath((Line(0.0, -_CLOCK_SPAN / lam_u),))
+    reason = _march(ray, (*tail[0][1], 0j), cfg, expand, on_step)
+    if reason != Termination.ENTERED_SINGULARITY_BALL:
+        end = tail[-1][1]
+        raise FlowError(f"the chart-time flow ends {_distance(end, equilibrium):.3g} from the "
+                        f"equilibrium, at ({end[0]:.6g}, {end[1]:.6g}) ({reason.value})")
+    return tuple(tail)

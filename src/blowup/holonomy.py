@@ -1,13 +1,16 @@
 """Detours around finite-time blow-up, loop discrepancies, and holonomy.
 
 A detour starts from an approach trajectory that ran into the singularity
-ball of a blow-up equilibrium (u, z) = (0, e).  The finite blow-up time T is
-estimated from the approach by fitting the leading relation
+ball of a blow-up equilibrium (u, z) = (0, e).  The finite blow-up time T
+comes from the flow: from the approach's end the chart field runs in its own
+time t1 into the equilibrium, where dt = u^(m-1) dt1, and T is the end time
+plus the original time that run takes (``flow.time_to_equilibrium``).  It
+does not depend on the ball.  The coefficient C of the leading relation
 
     t - T = C * u^(m-1)
 
-over the last few samples (the relation is exact for the linearized flow and
-leading-order in general).  The detour then walks a circle of given radius
+(exact for the linearized flow, leading-order in general) is then fitted
+over that run with T fixed.  The detour walks a circle of given radius
 around T, ``cycles`` times, dragging the lifted state along in the blow-up
 chart, and reports the end-versus-start discrepancy together with the
 measured winding numbers of the time loop and of both coordinate traces.
@@ -30,6 +33,7 @@ from blowup.algebra import BivariatePolynomial, Chart, ChartSystem, PlanarField,
 from blowup.equilibria import EquilibriumRecord, find_equilibria
 from blowup.flow import (
     Arc,
+    FlowError,
     IntegrationConfig,
     Line,
     NotClosedError,
@@ -39,6 +43,7 @@ from blowup.flow import (
     Trajectory,
     continue_leaf,
     integrate_path,
+    time_to_equilibrium,
     winding_number,
 )
 
@@ -57,7 +62,6 @@ __all__ = [
 ]
 
 _HOLONOMY_CFG = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
-_FIT_SAMPLES = 20  # approach samples the blow-up time is fitted over
 
 
 class DetourError(RuntimeError):
@@ -127,35 +131,33 @@ def approach_blowup(
                           designated_equilibrium=(eq.chart, eq.location))
 
 
-def _fit_blowup_time(
+def _blowup_time(
     system: ChartSystem,
     approach: Trajectory,
     eq: EquilibriumRecord,
+    cfg: IntegrationConfig,
 ) -> tuple[complex, complex]:
-    """Least squares (T, C) in t = T + C u^(m-1) over the approach tail.
+    """(T, C) in t - T = C u^(m-1): T from the flow, C fitted over its tail with T fixed.
 
-    Centring t and p = u^(m-1) on their means removes T, which leaves the
-    one-column fit C = sum conj(dp) dt / sum |dp|^2.
+    From the approach's end the chart flow runs in its own time into the
+    equilibrium (``time_to_equilibrium``), and T is the end time plus the
+    original time that run takes.  Over the run's samples, where t = T +
+    C p with p = u^(m-1), the one-column fit is C = sum conj(p) (t - T) /
+    sum |p|^2.
     """
+    entry_state = chart_point(approach.end.coords, approach.end.chart, eq.chart)
+    try:
+        tail = time_to_equilibrium(system.field(eq.chart), system.euler_exponent, entry_state, eq.location, cfg)
+    except FlowError as err:
+        raise DetourError(f"the approach does not run into the equilibrium: {err}") from None
+    T = approach.end.t + tail[-1][0]
     m1 = max(system.euler_exponent, 1)
-    tail = approach.samples[-_FIT_SAMPLES:]
-    ts, us = [], []
-    for smp in tail:
-        try:
-            here = chart_point(smp.coords, smp.chart, eq.chart)
-        except ZeroDivisionError:
-            continue
-        ts.append(smp.t)
-        us.append(here[0] - eq.location[0])
-    if len(ts) < 3:
-        raise DetourError("approach too short to fit the blow-up time")
-    ps = [u**m1 for u in us]
-    t_mean, p_mean = sum(ts) / len(ts), sum(ps) / len(ps)
-    spread = sum(abs(p - p_mean) ** 2 for p in ps)
+    ps = [(state[0] - eq.location[0]) ** m1 for _, state in tail]
+    spread = sum(abs(p) ** 2 for p in ps)
     if spread == 0:
         raise DetourError("approach tail does not move toward the blow-up point")
-    C = sum((p - p_mean).conjugate() * (t - t_mean) for p, t in zip(ps, ts)) / spread
-    return t_mean - C * p_mean, C
+    C = sum(p.conjugate() * (tau - tail[-1][0]) for p, (tau, _) in zip(ps, tail)) / spread  # t - T
+    return T, C
 
 
 def masuda_detour(
@@ -166,21 +168,29 @@ def masuda_detour(
     cycles: int,
     cfg: IntegrationConfig | None = None,
 ) -> DetourReport:
-    """Circle the estimated blow-up time and measure the lifted discrepancy.
+    """Circle the blow-up time and measure the lifted discrepancy.
 
-    The time loop starts at the phase of the approach endpoint, after a
-    radial transport leg from the endpoint onto the circle.  Discrepancy is
-    the state-space distance between the lifted states before and after the
-    ``cycles`` traversals, reported both absolutely and against the relative
-    closure threshold (1e-6 of the fiber magnitude at loop entry).
+    T is the approach's end time plus the original time the chart flow
+    takes from there into the equilibrium, and C in t - T = C u^(m-1) is
+    fitted over that run with T fixed; an approach whose chart flow does
+    not run into the equilibrium (off a saddle's stable separatrix) is
+    refused, and so is an equilibrium that is not at infinity.  The time
+    loop starts at the phase of the approach endpoint, after a radial
+    transport leg from the endpoint onto the circle.  Discrepancy is the
+    state-space distance between the lifted states before and after the
+    ``cycles`` traversals, reported both absolutely and against the
+    relative closure threshold (1e-6 of the fiber magnitude at loop entry).
     ``loop_radius=None`` takes half the distance |t_enter - T| from the
-    approach endpoint to the estimated blow-up time.
+    approach endpoint to the blow-up time.
     """
+    if blowup_eq.chart == Chart.XY:
+        raise ValueError("a detour circles a blow-up time: the equilibrium must lie at infinity (UZ or VW)")
     if approach.terminated_reason != Termination.ENTERED_SINGULARITY_BALL:
         raise DetourError(f"approach did not reach the singularity ball ({approach.terminated_reason.value})")
     if cycles < 1:
         raise ValueError("cycles must be positive")
-    T_est, C_fit = _fit_blowup_time(system, approach, blowup_eq)
+    base_cfg = cfg or IntegrationConfig()
+    T_est, C_fit = _blowup_time(system, approach, blowup_eq, base_cfg)
     t_enter = approach.end.t
     gap = abs(t_enter - T_est)
     if loop_radius is None:
@@ -193,7 +203,6 @@ def masuda_detour(
     circle = TimePath((Arc(T_est, loop_radius, phase, phase + 2.0 * math.pi),))  # refuses a bad radius
     circle_entry = T_est + loop_radius * cmath.exp(1j * phase)
 
-    base_cfg = cfg or IntegrationConfig()
     m1 = max(system.euler_exponent, 1)
     expected_u = abs(loop_radius / C_fit) ** (1.0 / m1)  # raises on C = 0 before the log below
     a_u = cmath.exp(-cmath.log(C_fit) / m1)  # principal C^(-1/(m-1)): the loop's fiber direction scale

@@ -46,6 +46,7 @@ def _error_line(capsys) -> dict:
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
     pytest.param(["holonomy", "catalog:riccati", "--eq", "2"], id="holonomy-at-a-finite-equilibrium"),
+    pytest.param(["detour", "catalog:riccati", "--eq", "2", "--cycles", "1"], id="detour-at-a-finite-equilibrium"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "nan"], id="holonomy-nan-radius"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--ball", "nan"],
                  id="detour-nan-ball"),

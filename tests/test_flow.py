@@ -5,13 +5,10 @@ import random
 import numpy as np
 import pytest
 
+import blowup.flow
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.equilibria import find_equilibria
 from blowup.flow import (
-    _DP_A,
-    _DP_B5,
-    _DP_C,
-    _DP_E,
     Arc,
     IntegrationConfig,
     Line,
@@ -21,13 +18,13 @@ from blowup.flow import (
     Termination,
     TimePath,
     TooCoarseError,
-    _compile_attempt,
-    _march,
+    _series,
     continue_leaf,
     integrate_path,
     winding_number,
 )
-from blowup.scenarios import catalog_get
+from blowup.hamiltonian import hamiltonian_field
+from blowup.scenarios import catalog_get, catalog_names
 
 P = BivariatePolynomial.from_coeffs
 
@@ -149,11 +146,13 @@ def _dist_to_segment(p: complex, a: complex, b: complex) -> float:
 
 def test_riccati_semicircular_detour_past_pole():
     # Continue x0 = 1 through the pole at T = 1 via an upper semicircle;
-    # the continuation is real again with x(2) = 1/(1-2) = -1.
+    # the continuation is real again with x(2) = 1/(1-2) = -1.  On the arc
+    # |x| = 1/0.45 lies past the chart-switch threshold 2 (a radius of 0.5
+    # would put it exactly on the threshold, where roundoff decides).
     path = TimePath((
-        Line(0.0, 0.5),
-        Arc(1.0, 0.5, math.pi, 0.0),
-        Line(1.5, 2.0),
+        Line(0.0, 0.55),
+        Arc(1.0, 0.45, math.pi, 0.0),
+        Line(1.45, 2.0),
     ))
     traj = integrate_path(riccati_system(), Chart.XY, (1.0, 0.0), path, TIGHT)
     assert traj.terminated_reason == Termination.COMPLETED
@@ -303,143 +302,162 @@ def test_contractible_base_loop_returns_fiber():
 
 # ---------------------------------------------------------- integrator work
 
-def _counted_leaf(monkeypatch, system, chart, loop, fiber_start, cfg):
-    """continue_leaf with every field evaluation (one per RHS call) recorded."""
-    calls = []
-    real = PlanarField.__call__
+def _recording_series(monkeypatch) -> list:
+    """The field of every series expansion the integrators make, in order."""
+    expanded = []
+    real = blowup.flow._series
 
-    def counting(fld, x, y):
-        calls.append((x, y))
-        return real(fld, x, y)
+    def recording(fld, *args):
+        series = real(fld, *args)
 
-    monkeypatch.setattr(PlanarField, "__call__", counting)
-    res = continue_leaf(system.field(chart), loop, fiber_start, cfg)
-    monkeypatch.undo()
-    return calls, len(res["fiber_trace"]) - 1
+        def counted(state, t):
+            expanded.append(fld)
+            return series(state, t)
+        return counted
+
+    monkeypatch.setattr(blowup.flow, "_series", recording)
+    return expanded
 
 
 def test_tight_tolerance_leaf_costs_at_most_seven_rhs_calls_per_step(monkeypatch):
-    # at rel_tol = 1e-12 the roundoff floor is reached on every step; the
-    # controller must grow the step from it without a rejection each time
+    # at rel_tol = 1e-12 a low-order step had to reach the roundoff floor;
+    # a series step evaluates the field once, as its expansion, is never
+    # retried, and stays long
     system = to_charts(catalog_get("golden_node").system)
     eq = next(r for r in find_equilibria(system, "All") if r.chart == Chart.UZ)
     cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14)
-    calls, accepted = _counted_leaf(monkeypatch, system, Chart.UZ, TimePath.circle(eq.location[1], 0.1),
-                                    0.01, cfg)
-    assert len(calls) <= 7 * accepted
+    expanded = _recording_series(monkeypatch)
+    res = continue_leaf(system.field(Chart.UZ), TimePath.circle(eq.location[1], 0.1), 0.01, cfg)
+    accepted = len(res["fiber_trace"]) - 1
+    assert expanded == [system.field(Chart.UZ)] * accepted
+    assert accepted <= 60
 
 
-def test_integrate_path_evaluates_every_stage_through_the_chart_field(monkeypatch):
+def test_a_chart_switch_rebinds_the_step(monkeypatch):
     # x' = x^2 from x(0) = 1 along an arc from t = 0 to 1.2 that passes the
     # pole at t = 1 above it, where |x| grows past 2 and the state moves to UZ
     system = riccati_system()
-    calls = []
-    real = PlanarField.__call__
-
-    def counting(fld, x, y):
-        calls.append(fld)
-        return real(fld, x, y)
-
-    monkeypatch.setattr(PlanarField, "__call__", counting)
+    expanded = _recording_series(monkeypatch)
     traj = integrate_path(system, Chart.XY, (1.0, 0.0), TimePath((Arc(0.6, 0.6, math.pi, 0.0),)))
-    monkeypatch.undo()
     assert traj.terminated_reason == Termination.COMPLETED
     charts = [smp.chart for smp in traj.samples]
     switches = sum(a != b for a, b in zip(charts, charts[1:]))
     assert switches == 1 and charts[-1] == Chart.UZ
     assert abs(traj.end.coords[0] - (1.0 - 1.2)) < 1e-9  # u = 1/x = 1 - t
-    # every stage went to the active chart's field: XY's until the switch, UZ's after it
-    n_xy = calls.count(system.xy_field)
-    assert calls == [system.xy_field] * n_xy + [system.uz_field] * (len(calls) - n_xy)
-    accepted = len(traj.samples) - 1 - switches
-    assert 6 * accepted < len(calls) <= 7 * accepted
+    # every step expanded the active chart's field: XY's until the switch, UZ's after it
+    n_xy = expanded.count(system.xy_field)
+    assert 0 < n_xy < len(expanded)
+    assert expanded == [system.xy_field] * n_xy + [system.uz_field] * (len(expanded) - n_xy)
+    assert len(expanded) == len(traj.samples) - 1 - switches
 
 
-def test_rejected_attempt_reuses_the_first_stage(monkeypatch):
-    # a retry from the same (s, y) keeps k1, and an accepted step hands its
-    # last stage on (FSAL), so no field point of this one-arc loop is
-    # evaluated twice; each rejected attempt costs 6 calls
-    calls, accepted = _counted_leaf(monkeypatch, linear_uz_system(-1.0, -2.0), Chart.UZ,
-                                    TimePath.circle(0.0, 0.1), 0.01, IntegrationConfig())
-    rejected, rest = divmod(len(calls) - 1 - 6 * accepted, 6)
-    assert rest == 0 and rejected >= 1
-    assert len(set(calls)) == len(calls)
+def _reference_series(rows, denominator, base, order, state, t):
+    """Taylor coefficients of y' = rows / denominator by list-based recurrences.
+
+    The polynomials are in (x, y): the first two state components, or with
+    ``base`` the first one and the independent variable, whose series is
+    (t, 1, 0, ...).  Each order recomputes every power x^j = x^(j-1) * x,
+    y^l = y^(l-1) * y and product x^j * y^l from scratch as Cauchy sums.
+    """
+    ys = [[complex(v)] for v in state]
+
+    def cauchy(a, b, k):
+        return sum(a[i] * b[k - i] for i in range(k + 1))
+
+    def monomial(j, l, x, y, k):
+        if (j, l) == (0, 0):
+            return [1 + 0j] + [0j] * k
+        if (j, l) in ((1, 0), (0, 1)):
+            return (x if j else y)[:k + 1]
+        if l == 0:
+            a, b = monomial(j - 1, 0, x, y, k), x
+        elif j == 0:
+            a, b = monomial(0, l - 1, x, y, k), y
+        else:
+            a, b = monomial(j, 0, x, y, k), monomial(0, l, x, y, k)
+        return [cauchy(a, b, i) for i in range(k + 1)]
+
+    def value(p, x, y, k):
+        return sum(c * monomial(j, l, x, y, k)[k] for (j, l), c in p.terms.items())
+
+    qs = [[] for _ in rows]
+    for k in range(order):
+        x = ys[0]
+        y = [complex(t), 1 + 0j] + [0j] * order if base else ys[1]
+        ds = [value(denominator, x, y, j) for j in range(k + 1)] if denominator is not None else None
+        for i, p in enumerate(rows):
+            q = value(p, x, y, k)
+            if ds is not None:
+                q = (q - sum(ds[j] * qs[i][k - j] for j in range(1, k + 1))) / ds[0]
+            qs[i].append(q)
+            ys[i].append(q / (k + 1))
+    return tuple(tuple(c) for c in ys)
 
 
-def _tableau_attempt(s, y, h, k1, rhs, seg, idx, atol, rtol):
-    """One DP5(4) attempt with the tableau applied by generic loops, term by term."""
-    def combine(y, weights, k):
-        out = []
-        for i, yi in enumerate(y):
-            acc = 0j
-            for w, kj in zip(weights, k):
-                acc += w * kj[i]
-            out.append(yi + h * acc)
-        return tuple(out)
-
-    k = [k1]
-    for c, a in zip(_DP_C[1:], _DP_A[1:]):
-        sc = s + c * h
-        k.append(rhs(sc, combine(y, a, k), seg, min(max(sc - idx, 0.0), 1.0)))
-    y_new = combine(y, _DP_B5, k)
-    err_raw = math.sqrt(sum(
-        (abs(e) / (atol + rtol * max(abs(old), abs(new)))) ** 2
-        for old, new, e in zip(y, y_new, combine((0j,) * len(y), _DP_E, k))
-    ) / len(y))
-    return y_new, err_raw, k[6]
+def _random_poly(rng, n_terms, max_degree):
+    return P([(j, d - j, complex(rng.uniform(-2, 2), rng.uniform(-2, 2)))
+              for d, j in ((d, rng.randint(0, d)) for d in (rng.randint(0, max_degree) for _ in range(n_terms)))])
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_compiled_attempt_matches_the_tableau_bit_for_bit(n):
-    rng = random.Random(n)
-    coeffs = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(3 * n)]
-
-    def field(calls):
-        def rhs(s, y, seg, sigma):
-            calls.append((s, y, sigma))
-            tdot = seg.velocity(sigma)
-            return tuple((coeffs[3 * i] * y[i] * y[i - 1] + coeffs[3 * i + 1] * s + coeffs[3 * i + 2]) * tdot
-                         for i in range(n))
-        return rhs
-
-    attempt = _compile_attempt(n)
-    assert _compile_attempt(n) is attempt  # compiled once per state size
-    for _ in range(200):
-        idx = rng.randrange(3)
-        # the march may start a step a rounding error before its segment,
-        # and a step may poke stages past the segment end: both are clamped
-        s = idx + rng.choice((-1e-10, 0.0, rng.random()))
-        h = 10.0 ** rng.uniform(-12, 0)
-        y = tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n))
-        seg = Arc(rng.uniform(-1, 1), rng.uniform(0.1, 1), rng.uniform(-3, 3), rng.uniform(-3, 3))
-        atol, rtol = 10.0 ** rng.uniform(-14, -6), 10.0 ** rng.uniform(-12, -4)
-        k1 = field([])(s, y, seg, min(max(s - idx, 0.0), 1.0))
-        want_calls, got_calls = [], []
-        want = _tableau_attempt(s, y, h, k1, field(want_calls), seg, idx, atol, rtol)
-        got = attempt(s, y, h, k1, field(got_calls), seg, idx, atol, rtol)
-        assert got == want  # the same floats, not merely close ones
-        assert got_calls == want_calls
+def _series_cases():
+    """(field, kind, exponent) triples: random sparse fields in every kind, and catalog charts."""
+    rng = random.Random(7)
+    for _ in range(12):
+        fld = PlanarField(_random_poly(rng, rng.randint(1, 4), 3), _random_poly(rng, rng.randint(1, 4), 3))
+        for kind, exponent in (("path", None), ("path", rng.randint(1, 3)), ("leaf", None),
+                               ("clock", rng.randint(0, 3))):
+            yield fld, kind, exponent
+    for name in catalog_names():
+        system = catalog_get(name).system
+        charts = to_charts(system if isinstance(system, PlanarField) else hamiltonian_field(system))
+        yield charts.xy_field, "path", None
+        for chart in (Chart.UZ, Chart.VW):
+            yield charts.field(chart), "path", charts.euler_exponent
+            yield charts.field(chart), "leaf", None
+            yield charts.field(chart), "clock", charts.euler_exponent
 
 
-def test_a_stage_that_divides_by_zero_reaches_the_step_controller():
-    pole = ZeroDivisionError("pole")
+def test_generated_series_matches_the_reference_recurrence_bit_for_bit():
+    rng = random.Random(11)
+    cases = 0
+    for fld, kind, exponent in _series_cases():
+        power = None if exponent is None else P([(exponent, 0, 1.0)])
+        rows, denominator, base = {"path": ((fld.f, fld.g), power, False),
+                                   "leaf": ((fld.f,), fld.g, True),
+                                   "clock": ((fld.f, fld.g, power), None, False)}[kind]
+        order = rng.choice((4, 7, 15))
+        series = _series(fld, order, kind, exponent)
+        assert _series(fld, order, kind, exponent) is series  # generated once per field, kind and order
+        for _ in range(3):
+            state = tuple(complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(len(rows)))
+            t = complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5))
+            want = _reference_series(rows, denominator, base, order, state, t)
+            assert series(state, t) == want  # the same floats, not merely close ones
+            cases += 1
+    assert cases > 100
 
-    def rhs(s, y, seg, sigma):
-        if len(calls) == 3 and poles:  # stage 4 of the first attempt, once
-            raise poles.pop()
-        calls.append(s)
-        return (1 + 0j,)
 
-    calls, poles = [], [pole]
-    with pytest.raises(ZeroDivisionError) as caught:
-        _compile_attempt(1)(0.0, (0j,), 0.05, rhs(0.0, (0j,), None, 0.0), rhs, Line(0.0, 1.0), 0, 1e-12, 1e-10)
-    assert caught.value is pole
-    # in the march, the attempt is retried at a tenth of the step
-    calls, poles, ends = [], [pole], []
-    path = TimePath.from_points([0.0, 1.0])
-    cfg = IntegrationConfig(max_step=0.05)
-    assert _march(path, (0j,), cfg, rhs, lambda s, y, seg, sigma: ends.append(s)) == Termination.COMPLETED
-    assert ends[0] == 0.1 * 0.05 and ends[-1] == 1.0
+@pytest.mark.parametrize("x0", [1.5, 1 + 1j, -0.5j])
+def test_series_of_x_squared_is_geometric(x0):
+    # x' = x^2 from x0 is x0 / (1 - x0 t) = sum x0^(k+1) t^k, and with these
+    # x0 every product and quotient in the recurrence is exact
+    series = _series(riccati_system().xy_field, 15, "path")
+    x, y = series((complex(x0), 0j), 0j)
+    assert x == tuple(complex(x0) ** (k + 1) for k in range(16))
+    assert y == (0j,) * 16
+
+
+def test_no_step_jumps_over_the_singularity_ball():
+    # in UZ, x' = x^2 is u' = -1: the series ends at order 1, so only
+    # max_step (0.06 in t on this path) limits a step, and a ball of radius
+    # 1e-3 around u = 0 would fall between two step ends
+    cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, singularity_radius=1e-3)
+    traj = integrate_path(riccati_system(), Chart.XY, (1.0, 0.0), TimePath.from_points([0.0, 1.2]), cfg,
+                          designated_equilibrium=(Chart.UZ, (0.0, 0.0)))
+    assert traj.terminated_reason == Termination.ENTERED_SINGULARITY_BALL
+    assert traj.end.chart == Chart.UZ
+    assert abs(traj.end.coords[0]) < 1e-3
+    assert abs(traj.end.t - (1.0 - traj.end.coords[0])) < 1e-12  # u = 1 - t
 
 
 # ------------------------------------------------------- march terminations

@@ -284,8 +284,8 @@ def test_homogeneous_hamiltonian_windings():
     cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, singularity_radius=0.05)
     approach = approach_blowup(sys, (complex(x0), y0), rec, horizon=3.0, cfg=cfg)
     assert approach.terminated_reason == Termination.ENTERED_SINGULARITY_BALL
-    from blowup.holonomy import _fit_blowup_time
-    T, _ = _fit_blowup_time(sys, approach, rec)
+    from blowup.holonomy import _blowup_time
+    T, _ = _blowup_time(sys, approach, rec, cfg)
     gap = abs(approach.end.t - T)
     report = masuda_detour(sys, rec, approach, loop_radius=0.5 * gap, cycles=1,
                            cfg=IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, max_step=0.02))

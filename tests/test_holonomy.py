@@ -1,10 +1,12 @@
 import cmath
+import json
 import math
 
 import pytest
 
 import blowup.holonomy
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
+from blowup.cli import run_command
 from blowup.equilibria import classify_spectrum, find_equilibria
 from blowup.flow import IntegrationConfig, Termination, TimePath, Trajectory
 from blowup.holonomy import (
@@ -131,8 +133,8 @@ def scalar_power_detour(m: int, cycles: int, radius_scale: float = 0.5):
 
 
 def _fit_T(sys, approach, eq):
-    from blowup.holonomy import _fit_blowup_time
-    return _fit_blowup_time(sys, approach, eq)[0]
+    from blowup.holonomy import _blowup_time
+    return _blowup_time(sys, approach, eq, APPROACH_CFG)[0]
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
@@ -281,6 +283,48 @@ def test_leg_and_cycle_failures_map_to_typed_errors(failing_call, what, reason, 
     if reason == Termination.STEP_UNDERFLOW:
         assert "StepUnderflow" in str(caught.value)
         assert "Termination." not in str(caught.value)
+
+
+# --------------------------------------------------------------- blow-up time
+
+def _detour_report(argv, capsys) -> dict:
+    assert run_command(argv) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_blowup_time_on_the_galerkin_invariant_line_is_ln_3(capsys):
+    # the default start (0, 2) lies on the invariant line x = 0, where
+    # y' = -y + (3/4) y^2 blows up at T = ln 3; a fit of t - T = C u^(m-1)
+    # over the approach's last samples was off by 4.2e-3
+    doc = _detour_report(["detour", "catalog:galerkin_asymmetric", "--eq", "2", "--cycles", "1"], capsys)
+    assert abs(complex(*doc["T_estimate"]) - math.log(3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("system, eq, start, T", [
+    ("catalog:galerkin_asymmetric", "0", "1,0.8", 0.58902502629351),
+    ("catalog:galerkin_symmetric?a=3", "2", "1,1.6", 0.37317546988953),
+])
+def test_blowup_time_does_not_depend_on_the_ball(system, eq, start, T, capsys):
+    # T from an independent chart-time quadrature; a fit over the approach
+    # tail was off by 1.1e-4 and 2.1e-4 at the default ball 0.05, and by
+    # 2.6e-6 and 1.4e-5 at 0.01
+    times = [complex(*_detour_report(["detour", system, "--eq", eq, "--cycles", "1", "--start", start,
+                                      "--ball", ball], capsys)["T_estimate"]) for ball in ("0.05", "0.01")]
+    assert abs(times[0] - times[1]) < 1e-12
+    assert abs(times[0] - T) < 1e-12
+
+
+def test_an_approach_off_the_saddle_separatrix_is_refused():
+    # a = 2 puts a Siegel saddle at UZ (0, 0).  From (1, 0.01) the approach
+    # enters a ball of radius 0.2, but it does not blow up there: from its
+    # end the chart-time flow runs along the line at infinity to (0, sqrt 2)
+    sys = to_charts(catalog_get("galerkin_symmetric", {"a": 2}).system)
+    eq = classified_infinity_eq(sys, Chart.UZ, 0.0)
+    cfg = IntegrationConfig(rel_tol=1e-12, abs_tol=1e-14, singularity_radius=0.2)
+    approach = approach_blowup(sys, (1.0, 0.01), eq, horizon=1.0, cfg=cfg)
+    assert approach.terminated_reason == Termination.ENTERED_SINGULARITY_BALL
+    with pytest.raises(DetourError, match="does not run into the equilibrium"):
+        masuda_detour(sys, eq, approach, loop_radius=None, cycles=1, cfg=cfg)
 
 
 # -------------------------------------------------------------- blowup_star
