@@ -10,6 +10,7 @@ inflate the degree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -255,40 +256,43 @@ def evaluate(p: BivariatePolynomial, x: complex, y: complex) -> complex:
 
 
 def _compile_field(f: BivariatePolynomial, g: BivariatePolynomial) -> Callable[[complex, complex], tuple[complex, complex]]:
-    """Straight-line code for ``(evaluate(f, x, y), evaluate(g, x, y))``.
+    """An evaluator of ``(evaluate(f, x, y), evaluate(g, x, y))``: the code of
+    f's and g's monomial structure (``_field_code``), bound to their coefficients."""
+    return _field_code(tuple(f.terms), tuple(g.terms))(*f.terms.values(), *g.terms.values())
+
+
+@functools.cache
+def _field_code(f_keys: tuple[tuple[int, int], ...], g_keys: tuple[tuple[int, int], ...]) -> Callable:
+    """Straight-line code for ``(evaluate(f, x, y), evaluate(g, x, y))``, as a
+    function of f's and then g's coefficients in term order.
 
     It does exactly ``evaluate``'s arithmetic, so its floats are identical:
     the power chains start at ``1+0j`` and are shared by f and g, each term
     is ``c * x^j * y^k``, and each sum runs from 0 in dict order.  The
-    coefficients are bound as names, never formatted into the source.
+    coefficients are bound as names, never formatted into the source, so
+    the source is built and compiled once per monomial structure.
     """
-    coeffs: list[complex] = []
+    names = iter(range(len(f_keys) + len(g_keys)))
 
-    def total(p: BivariatePolynomial) -> str:
-        if not p.terms:
+    def total(keys: tuple[tuple[int, int], ...]) -> str:
+        if not keys:
             return "0j"  # evaluate's empty sum
-        terms = ["0"]
-        for (j, k), c in p.terms.items():
-            terms.append(f"c{len(coeffs)} * x{int(j)} * y{int(k)}")
-            coeffs.append(c)
-        return " + ".join(terms)
+        return " + ".join(["0"] + [f"c{next(names)} * x{j} * y{k}" for j, k in keys])
 
-    f_src, g_src = total(f), total(g)
+    f_src, g_src = total(f_keys), total(g_keys)
     lines = []
-    for var, powers in (("x", [j for p in (f, g) for j, _ in p.terms]),
-                        ("y", [k for p in (f, g) for _, k in p.terms])):
+    for var, powers in (("x", [j for j, _ in f_keys + g_keys]), ("y", [k for _, k in f_keys + g_keys])):
         if powers:
             lines.append(f"{var}0 = 1.0 + 0.0j")
-            lines.extend(f"{var}{i} = {var}{i - 1} * {var}" for i in range(1, int(max(powers)) + 1))
-    names = ", ".join(f"c{i}" for i in range(len(coeffs)))
+            lines.extend(f"{var}{i} = {var}{i - 1} * {var}" for i in range(1, max(powers) + 1))
     src = "".join(
-        [f"def bind({names}):\n", "    def field(x, y):\n"]
+        [f"def bind({', '.join(f'c{i}' for i in range(len(f_keys) + len(g_keys)))}):\n", "    def field(x, y):\n"]
         + [f"        {line}\n" for line in lines]
         + [f"        return {f_src}, {g_src}\n", "    return field\n"]
     )
     namespace: dict = {}
     exec(src, namespace)
-    return namespace["bind"](*coeffs)
+    return namespace["bind"]
 
 
 def to_charts(fld: PlanarField) -> ChartSystem:

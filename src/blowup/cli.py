@@ -28,6 +28,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import datetime
+import functools
 import json
 import math
 import re
@@ -301,7 +302,14 @@ def cmd_holonomy(args) -> None:
     _emit(args, {**head, **asdict(holonomy_multiplier(csys, rec, base_radius=args.radius))})
 
 
+# every cycle stores at least 50 samples (the 0.02 step cap), so this many
+# already store the 2e7 samples of _MAX_PATH_SEGMENTS
+_MAX_DETOUR_CYCLES = 4 * 10**5
+
+
 def cmd_detour(args) -> None:
+    if not 1 <= args.cycles <= _MAX_DETOUR_CYCLES:  # refused before the approach runs
+        raise CliValidationError(f"--cycles must lie in 1..{_MAX_DETOUR_CYCLES}, got {args.cycles}")
     csys, rec, head, suggested_start = _select_equilibrium(args)
     start = _parse_start(args.start) if args.start else suggested_start
     if start is None:
@@ -517,7 +525,13 @@ def _emit(args, doc) -> None:
         sys.stdout.write(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and then kept: one per process.
+
+    Each subcommand's handler is bound when the parser is built, so
+    replacing a ``cmd_*`` function after the first call changes nothing.
+    """
     ap = argparse.ArgumentParser(prog="blowup", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -136,9 +136,11 @@ def _horner(c: list[complex], z: complex) -> tuple[complex, complex, float]:
 def _newton_polish_1d(coeffs: list[complex], root: complex, steps: int = _NEWTON_CAP) -> complex:
     """Newton's method on a univariate polynomial until the step is at roundoff.
 
-    The last step is evaluated in exact rational arithmetic and rounded once:
-    from within a few ulps of a simple root it lands on the double nearest to
-    the root, which floating-point steps reach only by chance.
+    The last step is evaluated exactly and rounded once: from within a few
+    ulps of a simple root it lands on the double nearest to the root, which
+    floating-point steps reach only by chance.  The exact step runs on
+    Python ints, the root and the coefficients scaled to one power-of-two
+    denominator, and is rounded by correctly rounded int true division.
     """
     for _ in range(steps):
         val, der, _ = _horner(coeffs, root)
@@ -148,15 +150,22 @@ def _newton_polish_1d(coeffs: list[complex], root: complex, steps: int = _NEWTON
         root -= step
         if abs(step) <= _EPS * abs(root):
             break
-    x, y = Fraction(root.real), Fraction(root.imag)
-    vr = vi = dr = di = Fraction(0)
-    for c in reversed(coeffs):
+    # the root and the coefficients as Gaussian integers over one denominator D = 2^shift
+    parts = [v.as_integer_ratio() for c in (root, *reversed(coeffs)) for v in (c.real, c.imag)]
+    shift = max(den.bit_length() for _, den in parts) - 1
+    ints = [num << (shift + 1 - den.bit_length()) for num, den in parts]
+    x, y = ints[0], ints[1]
+    # after the top k coefficients p = (vr + i vi) / D^k and p' = (dr + i di) / D^(k-1)
+    vr = vi = dr = di = 0
+    for k, (cr, ci) in enumerate(zip(ints[2::2], ints[3::2])):
         dr, di = dr * x - di * y + vr, dr * y + di * x + vi
-        vr, vi = vr * x - vi * y + Fraction(c.real), vr * y + vi * x + Fraction(c.imag)
-    norm = dr * dr + di * di  # p / p' = p conj(p') / |p'|^2
+        vr, vi = vr * x - vi * y + (cr << shift * k), vr * y + vi * x + (ci << shift * k)
+    norm = dr * dr + di * di
     if not norm:
         return root
-    return complex(float(x - (vr * dr + vi * di) / norm), float(y - (vi * dr - vr * di) / norm))
+    # root - p / p' = (z |p'|^2 - p conj(p') / D) / |p'|^2 with z = (x + i y) / D, over D |p'|^2
+    den = norm << shift
+    return complex((x * norm - (vr * dr + vi * di)) / den, (y * norm - (vi * dr - vr * di)) / den)
 
 
 def _newton_polish_2d(fld: PlanarField, pt: tuple[complex, complex], steps: int = _NEWTON_CAP) -> tuple[complex, complex]:
@@ -198,13 +207,20 @@ def find_equilibria(system: ChartSystem, search: str = "All") -> list[Equilibriu
     restricted to u = 0 (and of the vw analogue at v = 0), deduplicated via
     z = 1/w; each is reported in the chart where its coordinate is smaller.
     Finite equilibria solve f = g = 0 by resultant elimination followed by
-    two-dimensional Newton polishing.
+    two-dimensional Newton polishing.  Each part of the search runs once per
+    system and is kept on it as a tuple of frozen records, like a field's
+    evaluator; every call returns a fresh list.
     """
+    kept = system.__dict__.setdefault("_equilibria", {})
     records: list[EquilibriumRecord] = []
     if search in ("InfinityOnly", "All"):
-        records.extend(_infinity_equilibria(system))
+        if "infinity" not in kept:
+            kept["infinity"] = tuple(_infinity_equilibria(system))
+        records.extend(kept["infinity"])
     if search in ("FiniteOnly", "All"):
-        records.extend(_finite_equilibria(system.xy_field))
+        if "finite" not in kept:
+            kept["finite"] = tuple(_finite_equilibria(system.xy_field))
+        records.extend(kept["finite"])
     return records
 
 

@@ -305,6 +305,21 @@ def test_field_is_compiled_once_per_instance(monkeypatch):
     assert fld == twin
 
 
+def test_fields_of_one_monomial_structure_share_their_source():
+    # the source is built and compiled once per monomial structure and bound
+    # to each field's own coefficients
+    blowup.algebra._field_code.cache_clear()
+    f_keys, g_keys = ((3, 1), (0, 0), (1, 2)), ((0, 4), (2, 0))
+    rng = random.Random(18)
+    fields = [PlanarField(*(BivariatePolynomial({jk: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) for jk in keys})
+                            for keys in (f_keys, g_keys))) for _ in range(2)]
+    assert fields[0] != fields[1]
+    for fld in fields:
+        _assert_compiled_is_evaluate(fld)
+    info = blowup.algebra._field_code.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 # ------------------------------------------------- truncated composition
 
 def _sparse_poly(rng: random.Random, constant: bool) -> BivariatePolynomial:

@@ -44,6 +44,7 @@ def _error_line(capsys) -> dict:
     pytest.param(["classify", "catalog:golden_node", "--small-divisors", "--small-divisor-order", "-5"],
                  id="small-divisor-order-negative"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "0"], id="zero-cycles"),
+    pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "400001"], id="too-many-cycles"),
     pytest.param(["holonomy", "catalog:golden_node", "--eq", "0", "--radius", "-1"], id="negative-radius"),
     pytest.param(["holonomy", "catalog:riccati", "--eq", "2"], id="holonomy-at-a-finite-equilibrium"),
     pytest.param(["detour", "catalog:riccati", "--eq", "2", "--cycles", "1"], id="detour-at-a-finite-equilibrium"),
@@ -82,6 +83,30 @@ def _error_line(capsys) -> dict:
 def test_bad_input_is_a_validation_error(argv, capsys):
     assert run_command(argv) == 2
     assert _error_line(capsys)["error"] == "validation"
+
+
+@pytest.mark.parametrize("cycles", ["0", "400001"])
+def test_detour_cycle_count_is_checked_before_the_approach(cycles, monkeypatch, capsys):
+    # 10^8 cycles ran until killed, storing every sample; 0 integrated the
+    # whole approach before it was refused
+    monkeypatch.setattr(blowup.holonomy, "integrate_path", lambda *args, **kwargs: pytest.fail("integrated"))
+    assert run_command(["detour", "catalog:golden_node", "--eq", "0", "--cycles", cycles]) == 2
+    assert "--cycles must lie in 1..400000" in _error_line(capsys)["message"]
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    blowup.cli.build_parser.cache_clear()
+    assert run_command(["classify"]) == 2  # no system: argparse's own error
+    assert "the following arguments are required: system" in capsys.readouterr().err
+    assert run_command(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: blowup")
+    assert run_command(["classify", "catalog:riccati"]) == 0
+    report = capsys.readouterr().out
+    info = blowup.cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)
+    blowup.cli.build_parser.cache_clear()  # a fresh parser reads the same
+    assert run_command(["classify", "catalog:riccati"]) == 0
+    assert capsys.readouterr().out == report
 
 
 @pytest.mark.parametrize("argv, start", [
@@ -436,6 +461,15 @@ def test_every_schema_is_validated_against():
              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_schema_errors"]
     validated = {c.value for c in calls if isinstance(c, ast.Constant)} | {schema for schema, _ in REPORTS}
     assert validated == set(_validators()) - {"defs"}
+
+
+def test_cli_import_builds_no_parser_and_compiles_no_code():
+    # parser and generated code are built on first use, never at import
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import blowup.cli, blowup.algebra, blowup.flow\n"
+            "for cached in (blowup.cli.build_parser, blowup.algebra._field_code, blowup.flow._series_code):\n"
+            "    assert cached.cache_info().currsize == 0, cached\n")
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 def test_cli_import_does_not_load_numpy():

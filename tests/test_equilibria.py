@@ -1,5 +1,7 @@
 import cmath
 import math
+import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,14 +11,16 @@ from blowup.equilibria import (
     DegenerateSystemError,
     Domain,
     EquilibriumRecord,
+    _coeffs_in_y_at,
+    _newton_polish_1d,
     _poly_roots,
     classify_spectrum,
     find_equilibria,
     rational_spectral_quotient,
     small_divisor_scan,
 )
-from blowup.hamiltonian import hamiltonian_field
-from blowup.scenarios import catalog_get
+from blowup.hamiltonian import PolynomialHamiltonian, hamiltonian_field
+from blowup.scenarios import catalog_get, catalog_names
 
 P = BivariatePolynomial.from_coeffs
 
@@ -103,6 +107,52 @@ def test_poly_roots_split_off_exact_zeros():
     assert abs(roots[3] - 1.0) < 1e-15
     assert _poly_roots([3.0]) == []
     assert _poly_roots([2.0, 0.0]) == []
+
+
+def _fraction_step(coeffs: list[complex], root: complex) -> complex:
+    """Reference for the exact last Newton step: Fraction arithmetic, rounded once."""
+    x, y = Fraction(root.real), Fraction(root.imag)
+    vr = vi = dr = di = Fraction(0)
+    for c in reversed(coeffs):
+        dr, di = dr * x - di * y + vr, dr * y + di * x + vi
+        vr, vi = vr * x - vi * y + Fraction(c.real), vr * y + vi * x + Fraction(c.imag)
+    norm = dr * dr + di * di
+    if not norm:
+        return root
+    return complex(float(x - (vr * dr + vi * di) / norm), float(y - (vi * dr - vr * di) / norm))
+
+
+def _random_polynomials(rng: random.Random):
+    """Complex polynomials of degree 1-9, low to high, by their coefficients or
+    by their roots, with magnitudes spread over 1e-8 .. 1e6."""
+    def draw() -> complex:
+        return 10 ** rng.uniform(-8, 6) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+
+    for _ in range(150):
+        degree = rng.randint(1, 9)
+        yield [draw() for _ in range(degree + 1)]
+        coeffs = [draw()]
+        for _ in range(degree):
+            root = draw()
+            coeffs = [-root * coeffs[0]] + [a - root * b for a, b in zip(coeffs, coeffs[1:])] + [coeffs[-1]]
+        yield coeffs
+
+
+def _catalog_infinity_polynomials():
+    for name in catalog_names():
+        system = catalog_get(name).system
+        csys = to_charts(hamiltonian_field(system) if isinstance(system, PolynomialHamiltonian) else system)
+        yield _coeffs_in_y_at(csys.uz_field.g, 0)
+        yield _coeffs_in_y_at(csys.vw_field.g, 0)
+
+
+def test_exact_newton_step_in_integers_matches_the_fraction_reference():
+    cases = 0
+    for coeffs in [*_random_polynomials(random.Random(18)), *_catalog_infinity_polynomials()]:
+        for root in _poly_roots(coeffs):
+            assert _newton_polish_1d(coeffs, root, steps=0) == _fraction_step(coeffs, root), (coeffs, root)
+            cases += 1
+    assert cases > 1500
 
 
 @pytest.mark.parametrize("name, params, n_xy", [

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import blowup.equilibria
 import blowup.holonomy
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.cli import run_command
@@ -109,6 +110,22 @@ def test_multiplier_of_a_nonlinear_fiber_is_exp_2_pi_i_lambda(name, params, inde
     assert eq.chart in (Chart.UZ, Chart.VW) and eq.spectral_quotient is not None
     est = holonomy_multiplier(sys, eq, base_radius=0.1)
     assert abs(est.multiplier - cmath.exp(2j * math.pi * eq.spectral_quotient)) < 1e-12
+
+
+def test_holonomy_reuses_the_equilibrium_search_of_its_system(monkeypatch):
+    # the neighbour check of holonomy_multiplier used to search again
+    from blowup.cli import classified_equilibria
+    searches = []
+    real = blowup.equilibria._infinity_equilibria
+    monkeypatch.setattr(blowup.equilibria, "_infinity_equilibria", lambda csys: searches.append(csys) or real(csys))
+    sys = to_charts(catalog_get("golden_node").system)
+    eq = classified_equilibria(sys)[0]
+    holonomy_multiplier(sys, eq, base_radius=0.1)
+    assert searches == [sys]
+    found = find_equilibria(sys)
+    found.clear()
+    assert find_equilibria(sys) == find_equilibria(to_charts(catalog_get("golden_node").system)) != []
+    assert len(searches) == 2
 
 
 def test_no_invariant_fiber_for_finite_equilibrium():
