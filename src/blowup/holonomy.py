@@ -321,13 +321,19 @@ def holonomy_multiplier(
     F_u of fiber degree 1 and of F_z of fiber degree 0.  The equation is
     linear, so one continuation of it from du = 1 around the base circle
     ends at h'(0) itself, with no fiber radius to choose and no higher germ
-    coefficient to extrapolate away.  The multiplier is compared against
-    exp(2 pi i lambda) when the record carries a spectral quotient.
+    coefficient to extrapolate away.  The continuation runs on the unit
+    circle in zeta = (z - e) / R, where the coefficients of zeta^k carry
+    R^k (R^(k-1) in F_z): in z itself they scale as R^-k, and past R ~ 1e15
+    the tail underflows and reads as converged.  The multiplier is compared
+    against exp(2 pi i lambda) when the record carries a spectral quotient.
+    The base radius R must be finite and positive.
 
     The base circle must enclose this root of F_z(0, z) alone and stay clear
     of the others, so another equilibrium at infinity closer than twice the
     radius to the centre, measured in this chart, is refused as bad input.
     """
+    if not 0.0 < base_radius < math.inf:
+        raise ValueError(f"base radius must be finite and positive, got {base_radius!r}")
     if eq.chart not in (Chart.UZ, Chart.VW):
         raise NoInvariantFiberError("holonomy needs a blow-up chart equilibrium")
     centre = eq.location[1]
@@ -346,12 +352,16 @@ def holonomy_multiplier(
     fld = system.field(eq.chart)
     if any(j == 0 for j, _ in fld.f.terms):
         raise NoInvariantFiberError("first chart component is not divisible by the fiber coordinate")
-    linear = PlanarField(
-        BivariatePolynomial({jk: c for jk, c in fld.f.terms.items() if jk[0] == 1}),
-        BivariatePolynomial({jk: c for jk, c in fld.g.terms.items() if jk[0] == 0}),
-    )
-    loop = TimePath.circle(eq.location[1], base_radius)
-    multiplier = continue_leaf(linear, loop, 1 + 0j, _HOLONOMY_CFG)["fiber_end"]
+    f_u = BivariatePolynomial({jk: c for jk, c in fld.f.terms.items() if jk[0] == 1}).shifted(0.0, centre)
+    f_z = BivariatePolynomial({jk: c for jk, c in fld.g.terms.items() if jk[0] == 0}).shifted(0.0, centre)
+    try:  # each coefficient is scaled in one product, so none is pruned on the way
+        linear = PlanarField(
+            BivariatePolynomial({(1, k): c * base_radius**k for (_, k), c in f_u.terms.items()}),
+            BivariatePolynomial({(0, k): c * base_radius ** (k - 1) for (_, k), c in f_z.terms.items()}),
+        )
+    except OverflowError:
+        raise FlowError(f"base radius {base_radius:.3g} overflows the leaf's coefficients") from None
+    multiplier = continue_leaf(linear, TimePath.circle(0.0, 1.0), 1 + 0j, _HOLONOMY_CFG)["fiber_end"]
     predicted = None
     deviation = None
     if eq.spectral_quotient is not None:

@@ -9,7 +9,7 @@ import blowup.holonomy
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, to_charts
 from blowup.cli import run_command
 from blowup.equilibria import classify_spectrum, find_equilibria
-from blowup.flow import IntegrationConfig, Termination, TimePath, Trajectory
+from blowup.flow import FlowError, IntegrationConfig, Termination, TimePath, Trajectory
 from blowup.holonomy import (
     DetourError,
     LoopHitsSingularityError,
@@ -110,6 +110,41 @@ def test_multiplier_of_a_nonlinear_fiber_is_exp_2_pi_i_lambda(name, params, inde
     assert eq.chart in (Chart.UZ, Chart.VW) and eq.spectral_quotient is not None
     est = holonomy_multiplier(sys, eq, base_radius=0.1)
     assert abs(est.multiplier - cmath.exp(2j * math.pi * eq.spectral_quotient)) < 1e-12
+
+
+@pytest.mark.parametrize("name, params, index, radius", [
+    *(pytest.param("linear_quotient", {"q": q}, 0, radius, id=f"linear_quotient-{q}-R{radius:g}")
+      for q in (0.5, -0.5) for radius in (1e-12, 1e-10, 0.1, 1e15, 1e100, 1e300)),
+    # centred at z = 1/sqrt(2), where the other roots of F_z(0, z) bound R
+    *(pytest.param("homogeneous", {"fy": 1.0, "gx": 3.0}, 2, radius, id=f"homogeneous-off-centre-R{radius:g}")
+      for radius in (1e-12, 1e-8, 0.1)),
+])
+def test_multiplier_does_not_depend_on_the_base_radius(name, params, index, radius):
+    # in z the leaf's coefficients scale as R^-k: past R = 1e15 the tail
+    # underflowed and read as converged (the multiplier at R = 1e200 was
+    # -0.78 for -1), and at R = 1e-10 every step underflowed
+    from blowup.cli import classified_equilibria
+    sys = to_charts(catalog_get(name, params).system)
+    eq = classified_equilibria(sys)[index]
+    assert holonomy_multiplier(sys, eq, base_radius=radius).deviation < 1e-14
+
+
+def test_a_base_radius_past_the_double_range_is_a_numerical_failure():
+    # x' = x^2 + y^2, y' = xy: F_z(0, z) = -z^3 has no other root, so no
+    # radius is refused; the leaf's z^2 coefficient carries R^2
+    sys = to_charts(PlanarField(P([(2, 0, 1.0), (0, 2, 1.0)]), P([(1, 1, 1.0)])))
+    eq = classified_infinity_eq(sys, Chart.UZ, 0.0)
+    assert abs(holonomy_multiplier(sys, eq, base_radius=1e100).multiplier - 1.0) < 1e-14
+    with pytest.raises(FlowError, match="overflows the leaf's coefficients"):
+        holonomy_multiplier(sys, eq, base_radius=1e200)
+
+
+@pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+def test_base_radius_must_be_finite_and_positive(radius):
+    sys = to_charts(catalog_get("golden_node").system)
+    eq = classified_infinity_eq(sys, Chart.UZ, 0.0)
+    with pytest.raises(ValueError, match="base radius must be finite and positive"):
+        holonomy_multiplier(sys, eq, base_radius=radius)
 
 
 def test_holonomy_reuses_the_equilibrium_search_of_its_system(monkeypatch):
