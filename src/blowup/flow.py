@@ -15,10 +15,14 @@ u^(m-1) in a blow-up chart, and the base field g in ``continue_leaf``,
 where the base coordinate is the independent variable.  At each step the
 coefficients of y(t0 + tau) = sum_k y_k tau^k follow from Cauchy products of
 the state's series and the quotient recurrence q_k = (P_k - sum_(j>=1)
-D_j q_(k-j)) / D_0, y_(k+1) = q_k / (k+1), at O(p^2) per product.  The
-straight-line code is compiled once per monomial structure and order, bound
-to a field's coefficients on first use (``_series``), and kept on the
-``PlanarField`` like its evaluator.
+D_j q_(k-j)) / D_0, y_(k+1) = q_k / (k+1), at O(p^2) per product.  In a
+blow-up chart the division is exact where u^(m-1) divides: each numerator
+is split as P = u^(m-1) A + B, A's coefficients are Cauchy products only,
+and B alone goes through the quotient recurrence.  F_u has no B (the line
+at infinity is invariant), so u' is never divided.  The straight-line code
+is compiled once per monomial structure and order, bound to a field's
+coefficients on first use (``_series``), and kept on the ``PlanarField``
+like its evaluator.
 
 The order is p = ceil(-ln(rel_tol) / 2) + 1 (Jorba & Zou's rule; rel_tol
 is taken no smaller than machine epsilon), and the last two coefficients
@@ -31,8 +35,10 @@ step is rejected.  The step also ends at ``max_step`` and at the segment
 end, and moves the state by evaluating the series at the chord
 dt = path.point(s + h) - path.point(s): the solution is analytic, so inside
 its disc of convergence the chord gives the value the arc would.  A pole at
-the expansion point (a zero D_0, such as u = 0 in a blow-up chart) or
-coefficients that overflow end the march with ``StepUnderflowError``.
+the expansion point (a zero D_0 in a row that divides: the base field's
+zero in ``continue_leaf``, or u = 0 in a blow-up chart when some row has a
+remainder B) or coefficients that overflow end the march with
+``StepUnderflowError``.
 
 In the designated equilibrium's chart a step may carry the state at most
 half its distance to that equilibrium, where the distance moved is bounded
@@ -82,7 +88,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
-from blowup.algebra import BivariatePolynomial, Chart, ChartSystem, PlanarField, chart_point
+from blowup.algebra import Chart, ChartSystem, PlanarField, chart_point
 
 __all__ = [
     "Line",
@@ -178,6 +184,7 @@ class Arc:
 
 Segment = Line | Arc
 State = tuple[complex, ...]  # one Python complex per component
+Monomials = tuple[tuple[int, int], ...]  # a polynomial's exponent pairs, in term order
 
 
 @dataclass(frozen=True)
@@ -282,43 +289,61 @@ def _series(fld: PlanarField, order: int, kind: str, exponent: int | None = None
     whose derivative is x^exponent.  ``series(state, t)`` returns, per state
     component, its coefficients y_0 .. y_order in powers of the increment of
     the independent variable, whose value is ``t``.
+
+    A "path" numerator P with exponent e is split as P = x^e A + B: A holds
+    the terms of x-degree e and above, lowered by e, and B the rest, so
+    P / x^e = A + B / x^e.  A takes Cauchy products only; B alone goes
+    through the quotient recurrence, and a row with no B divides nowhere,
+    so a zero x at the expansion point is a pole only when some row has a
+    B.  "leaf" divides all of f by g; "clock" and an undivided "path"
+    divide nothing.
     """
     cache = fld.__dict__.setdefault("_series", {})
     key = (kind, exponent, order)
     if key not in cache:
-        power = None if exponent is None else BivariatePolynomial({(exponent, 0): 1.0})
-        rows, denominator = {"path": ((fld.f, fld.g), power), "leaf": ((fld.f,), fld.g),
-                             "clock": ((fld.f, fld.g, power), None)}[kind]
-        polys = rows if denominator is None else (*rows, denominator)
-        bind = _series_code(tuple(tuple(p.terms) for p in polys), denominator is not None, kind == "leaf", order)
-        cache[key] = bind(*(c for p in polys for c in p.terms.values()))
+        e = exponent or 0
+        power = {(e, 0): 1 + 0j}
+        if kind == "leaf":
+            rows, denominator = [({}, fld.f.terms)], fld.g.terms
+        elif kind == "clock":
+            rows, denominator = [(fld.f.terms, {}), (fld.g.terms, {}), (power, {})], {}
+        else:  # P = x^e A + B
+            rows = [({(j - e, l): c for (j, l), c in p.terms.items() if j >= e},
+                     {(j, l): c for (j, l), c in p.terms.items() if j < e}) for p in (fld.f, fld.g)]
+            denominator = power
+        keys = tuple((tuple(direct), tuple(divided)) for direct, divided in rows)
+        bind = _series_code(keys, tuple(denominator), kind == "leaf", order)
+        cache[key] = bind(*(c for row in rows for terms in row for c in terms.values()), *denominator.values())
     return cache[key]
 
 
 @functools.cache
-def _series_code(keys: tuple[tuple[tuple[int, int], ...], ...], divided: bool, base: bool, order: int) -> Callable:
-    """Straight-line code for the Taylor coefficients of y' = rows / denominator, as a function of their coefficients.
+def _series_code(rows: tuple[tuple[Monomials, Monomials], ...], denominator: Monomials, base: bool,
+                 order: int) -> Callable:
+    """Straight-line code for the Taylor coefficients of y' = A + B / D per row, as a function of their coefficients.
 
-    ``keys`` holds the monomials of each row and, when ``divided``, of the
-    denominator last.  The polynomials are in (x, y): the first two state
-    components, or, with ``base``, the first component and the independent
-    variable itself, whose series is (t, 1).  Components past the second
-    are quadratures, which appear in no polynomial.  Per order k, in this
-    order:
+    ``rows`` holds, per state component, the monomials of its direct part A
+    and of its divided part B; ``denominator`` the monomials of D.  The
+    coefficients are bound in that order: each row's A then B, then D.  The
+    polynomials are in (x, y): the first two state components, or, with
+    ``base``, the first component and the independent variable itself, whose
+    series is (t, 1).  Components past the second are quadratures, which
+    appear in no polynomial.  Per order k, in this order:
 
     - each power x^j = x^(j-1) * x, y^l = y^(l-1) * y and product
       x^j * y^l is the Cauchy sum over i = 0 .. k of a_i * b_(k-i);
-    - the denominator D_k, then each row P_k, is the sum of c * (monomial)_k
-      in the polynomial's term order;
-    - q_k = (P_k - sum_(j=1..k) D_j q_(k-j)) / D_0, or q_k = P_k undivided,
-      and y_(k+1) = q_k / (k + 1).
+    - D_k, when some row has a B, then per row A_k and B_k, each the sum of
+      c * (monomial)_k in the polynomial's term order;
+    - r_k = (B_k - sum_(j=1..k) D_j r_(k-j)) / D_0 for a row with a B,
+      q_k = A_k + r_k (either alone when the other part is empty), and
+      y_(k+1) = q_k / (k + 1).
 
     Terms that are zero by degree (powers of the base past their degree,
     the constant past order 0) are left out, and a factor 1 is not
     multiplied: that changes no finite float.  The coefficients are bound
     as names, never formatted into the source, so the code is compiled once
     per monomial structure and order.  A zero D_0 raises
-    ``ZeroDivisionError``.
+    ``ZeroDivisionError`` when some row has a B; no row with a B, no D.
     """
     nodes: list[tuple[str, tuple, tuple]] = []  # (name, left, right) products, in dependency order
     # a series is (name, degree): coefficient k is the local name_k up to its degree, zero past it
@@ -348,15 +373,20 @@ def _series_code(keys: tuple[tuple[tuple[int, int], ...], ...], divided: bool, b
             nodes.append((monomials[(j, l)][0], left, right))
         return monomials[(j, l)]
 
-    names = iter(range(sum(map(len, keys))))
-    terms = [[(f"c{next(names)}", monomial(j, l)) for j, l in row] for row in keys]
+    n_coeffs = sum(len(keys) for row in rows for keys in row) + len(denominator)
+    names = iter(range(n_coeffs))
 
-    def value(row: list[tuple[str, tuple[str, float]]], k: int) -> str:
-        parts = [times(name, m) for name, series in row if (m := coeff(series, k)) is not None]
-        return " + ".join(parts) or "0j"
+    def named(keys: Monomials) -> list[tuple[str, tuple[str, float]]]:
+        return [(f"c{next(names)}", monomial(j, l)) for j, l in keys]
 
-    den_terms = terms.pop() if divided else []
+    terms = [(named(direct), named(divided)) for direct, divided in rows]
+    divides = any(divided for _, divided in terms)
+    den_terms = named(denominator) if divides else []  # D's powers are formed only where some row divides
     den_degree = max((series[1] for _, series in den_terms), default=0)
+
+    def value(row: list[tuple[str, tuple[str, float]]], k: int) -> list[str]:
+        return [times(name, m) for name, series in row if (m := coeff(series, k)) is not None]
+
     body = ["".join(f"a{i}_0, " for i in range(len(terms))) + "= state"]
     for k in range(order):
         for name, left, right in nodes:
@@ -364,19 +394,21 @@ def _series_code(keys: tuple[tuple[tuple[int, int], ...], ...], divided: bool, b
                 pairs = [times(a, b) for i in range(k + 1)
                          if (a := coeff(left, i)) is not None and (b := coeff(right, k - i)) is not None]
                 body.append(f"{name}_{k} = {' + '.join(pairs)}")
-        if divided and k <= den_degree:
-            body.append(f"d_{k} = {value(den_terms, k)}")
-        for i, row in enumerate(terms):
-            q = value(row, k)
+        if divides and k <= den_degree:
+            body.append(f"d_{k} = {' + '.join(value(den_terms, k)) or '0j'}")
+        for i, (direct, divided) in enumerate(terms):
+            parts = value(direct, k)
             if divided:
-                carried = " + ".join(f"d_{j} * q{i}_{k - j}" for j in range(1, min(k, den_degree) + 1))
-                body.append(f"q{i}_{k} = ({q}{f' - ({carried})' if carried else ''}) / d_0")
-                q = f"q{i}_{k}"
+                b = " + ".join(value(divided, k)) or "0j"
+                carried = " + ".join(f"d_{j} * r{i}_{k - j}" for j in range(1, min(k, den_degree) + 1))
+                body.append(f"r{i}_{k} = ({b}{f' - ({carried})' if carried else ''}) / d_0")
+                parts.append(f"r{i}_{k}")
+            q = " + ".join(parts) or "0j"
             body.append(f"a{i}_{k + 1} = {q}" if k == 0 else f"a{i}_{k + 1} = ({q}) / {k + 1}")
     body.append("return " + "".join(
         "(" + "".join(f"a{i}_{k}, " for k in range(order + 1)) + "), " for i in range(len(terms))))
     src = "".join(
-        [f"def bind({', '.join(f'c{i}' for i in range(sum(map(len, keys))))}):\n",
+        [f"def bind({', '.join(f'c{i}' for i in range(n_coeffs))}):\n",
          "    def series(state, t):\n"]
         + [f"        {line}\n" for line in body]
         + ["    return series\n"]
@@ -620,8 +652,9 @@ def continue_leaf(
             coeffs = series(y, t)
         except ZeroDivisionError:
             coeffs = None
-        # the base field below 1e-10 of the fiber field, or zero
-        if coeffs is None or abs(coeffs[0][1]) > 1e10:
+        # the base field zero, or |d fiber / d base| above 1e10 times max(|fiber|, 1): measured
+        # against the fiber, so a fiber that merely grows large is no tangency
+        if coeffs is None or abs(coeffs[0][1]) > 1e10 * max(abs(y[0]), 1.0):
             raise SectionTangencyError(f"base field vanished at {t:.6g}")
         return coeffs, math.inf
 

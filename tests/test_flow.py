@@ -1,6 +1,7 @@
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -352,12 +353,16 @@ def test_a_chart_switch_rebinds_the_step(monkeypatch):
 
 
 def _reference_series(rows, denominator, base, order, state, t):
-    """Taylor coefficients of y' = rows / denominator by list-based recurrences.
+    """Taylor coefficients of y' = A + B / D per row by list-based recurrences.
 
+    ``rows`` holds per component its direct part A and its divided part B.
     The polynomials are in (x, y): the first two state components, or with
     ``base`` the first one and the independent variable, whose series is
     (t, 1, 0, ...).  Each order recomputes every power x^j = x^(j-1) * x,
-    y^l = y^(l-1) * y and product x^j * y^l from scratch as Cauchy sums.
+    y^l = y^(l-1) * y and product x^j * y^l from scratch as Cauchy sums.  A
+    row with a B carries its quotient r_k = (B_k - sum_(j>=1) D_j r_(k-j)) /
+    D_0, and q_k = A_k + r_k; a row without one is q_k = A_k, and divides
+    by nothing.
     """
     ys = [[complex(v)] for v in state]
 
@@ -380,18 +385,24 @@ def _reference_series(rows, denominator, base, order, state, t):
     def value(p, x, y, k):
         return sum(c * monomial(j, l, x, y, k)[k] for (j, l), c in p.terms.items())
 
-    qs = [[] for _ in rows]
+    rs = [[] for _ in rows]
     for k in range(order):
         x = ys[0]
         y = [complex(t), 1 + 0j] + [0j] * order if base else ys[1]
-        ds = [value(denominator, x, y, j) for j in range(k + 1)] if denominator is not None else None
-        for i, p in enumerate(rows):
-            q = value(p, x, y, k)
-            if ds is not None:
-                q = (q - sum(ds[j] * qs[i][k - j] for j in range(1, k + 1))) / ds[0]
-            qs[i].append(q)
+        for i, (direct, divided) in enumerate(rows):
+            q = value(direct, x, y, k)
+            if not divided.is_zero:
+                ds = [value(denominator, x, y, j) for j in range(k + 1)]
+                rs[i].append((value(divided, x, y, k) - sum(ds[j] * rs[i][k - j] for j in range(1, k + 1))) / ds[0])
+                q = q + rs[i][k]
             ys[i].append(q / (k + 1))
     return tuple(tuple(c) for c in ys)
+
+
+def _split(p, e):
+    """P = x^e A + B: A the terms of x-degree e and above, lowered by e, and B the rest."""
+    return (BivariatePolynomial({(j - e, l): c for (j, l), c in p.terms.items() if j >= e}),
+            BivariatePolynomial({(j, l): c for (j, l), c in p.terms.items() if j < e}))
 
 
 def _random_poly(rng, n_terms, max_degree):
@@ -422,10 +433,11 @@ def test_generated_series_matches_the_reference_recurrence_bit_for_bit(seed):
     rng = random.Random(10 + seed)
     cases = 0
     for fld, kind, exponent in _series_cases(seed):
-        power = None if exponent is None else P([(exponent, 0, 1.0)])
-        rows, denominator, base = {"path": ((fld.f, fld.g), power, False),
-                                   "leaf": ((fld.f,), fld.g, True),
-                                   "clock": ((fld.f, fld.g, power), None, False)}[kind]
+        e, zero = exponent or 0, P([])
+        power = P([(e, 0, 1.0)])
+        rows, denominator, base = {"path": ((_split(fld.f, e), _split(fld.g, e)), power, False),
+                                   "leaf": (((zero, fld.f),), fld.g, True),
+                                   "clock": (((fld.f, zero), (fld.g, zero), (power, zero)), None, False)}[kind]
         order = rng.choice((4, 7, 15))
         series = _series(fld, order, kind, exponent)
         assert _series(fld, order, kind, exponent) is series  # generated once per field, kind and order
@@ -446,6 +458,58 @@ def test_series_of_x_squared_is_geometric(x0):
     x, y = series((complex(x0), 0j), 0j)
     assert x == tuple(complex(x0) ** (k + 1) for k in range(16))
     assert y == (0j,) * 16
+
+
+def _exact_path_series(fld, exponent, state, order):
+    """Taylor coefficients of y' = (f, g)(y) / x^exponent in exact rational arithmetic, for real fields and states."""
+    def product(a, b):
+        return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(len(a))]
+
+    def power(a, n):
+        p = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+        for _ in range(n):
+            p = product(p, a)
+        return p
+
+    ys = [[Fraction(v)] for v in state]
+    for k in range(order):
+        x, y = ys
+        d = power(x, exponent)
+        new = []
+        for p in (fld.f, fld.g):
+            num = [Fraction(0)] * (k + 1)
+            for (j, l), c in p.terms.items():
+                num = [n + Fraction(c.real) * m for n, m in zip(num, product(power(x, j), power(y, l)))]
+            q = []
+            for m in range(k + 1):
+                q.append((num[m] - sum(d[j] * q[m - j] for j in range(1, m + 1))) / d[0])
+            new.append(q[k] / (k + 1))
+        for c, v in zip(ys, new):
+            c.append(v)
+    return ys
+
+
+def test_a_blowup_chart_u_series_matches_exact_arithmetic():
+    # riccati's UZ field is (-u + u^3, -z - u z + u^2 z) and the Euler
+    # multiplier is u: F_u / u = -1 + u^2 takes no division, and its
+    # coefficients are exact to roundoff; dividing all of F_u by u = 0.05
+    # amplified roundoff about twentyfold per order, to 25% at order 12
+    charts = to_charts(catalog_get("riccati").system)
+    assert all(c.imag == 0 for p in (charts.uz_field.f, charts.uz_field.g) for c in p.terms.values())
+    exact = _exact_path_series(charts.uz_field, charts.euler_exponent, (0.05, 0.3), 12)
+    u, _ = _series(charts.uz_field, 12, "path", charts.euler_exponent)((0.05 + 0j, 0.3 + 0j), 0j)
+    assert all(abs(got - float(want)) <= 1e-14 * abs(float(want)) for got, want in zip(u, exact[0]))
+
+
+def test_a_blowup_chart_row_that_u_divides_is_exact():
+    # rational_node's UZ field is (-n2 u, -n1 z + gamma u^2): u' = -n2 exactly,
+    # and only F_z's remainder -n1 z is divided by u
+    charts = to_charts(catalog_get("rational_node", {"n1": 4, "n2": 5}).system)
+    series = _series(charts.uz_field, 15, "path", charts.euler_exponent)
+    u, _ = series((0.05 + 0.01j, 0.3 - 0.2j), 0j)
+    assert u == (0.05 + 0.01j, -5) + (0,) * 14
+    # the generated code holds the quotients r1_k of row 1 alone: row 0 is never divided by d_0
+    assert {name.partition("_")[0] for name in series.__code__.co_varnames if name.startswith("r")} == {"r1"}
 
 
 def test_no_step_jumps_over_the_singularity_ball():
@@ -475,8 +539,10 @@ def test_branch_point_on_the_path_underflows_in_the_blowup_chart():
 
 
 def test_start_on_the_line_at_infinity_underflows():
-    # the UZ chart divides by the Euler multiplier u^(m-1), which vanishes at
-    # u = 0: a stage that divides by zero is rejected like an infinite error
+    # in UZ, x' = x^2, y' = -y is u' = -1 and z' = (-z - u z) / u: the
+    # remainder -z of F_z is divided by the Euler multiplier u, which
+    # vanishes at u = 0, so the first expansion divides by zero and the
+    # step collapses
     traj = integrate_path(riccati_system(), Chart.UZ, (0.0, 0.5), TimePath.from_points([0.0, 0.5]), TIGHT)
     assert traj.terminated_reason == Termination.STEP_UNDERFLOW
     assert len(traj.samples) == 1

@@ -139,6 +139,16 @@ def test_a_base_radius_past_the_double_range_is_a_numerical_failure():
         holonomy_multiplier(sys, eq, base_radius=1e200)
 
 
+def test_a_fiber_that_grows_large_is_no_tangency():
+    # the same field at R = 0.1: d(fiber)/dz = fiber (1/z^3 + 1/z) carries the
+    # fiber to about 3e43 around the circle, where the base field -z^3 never
+    # vanishes; a bound of 1e10 on d(fiber)/d(base) itself, not measured
+    # against the fiber, called that a tangency
+    sys = to_charts(PlanarField(P([(2, 0, 1.0), (0, 2, 1.0)]), P([(1, 1, 1.0)])))
+    eq = classified_infinity_eq(sys, Chart.UZ, 0.0)
+    assert abs(holonomy_multiplier(sys, eq, base_radius=0.1).multiplier - 1.0) < 1e-13
+
+
 @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
 def test_base_radius_must_be_finite_and_positive(radius):
     sys = to_charts(catalog_get("golden_node").system)
