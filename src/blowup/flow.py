@@ -317,6 +317,25 @@ def _series(fld: PlanarField, order: int, kind: str, exponent: int | None = None
     return cache[key]
 
 
+def _component_degrees(rows: tuple[tuple[Monomials, Monomials], ...], base: bool) -> list[float]:
+    """Polynomial degree in the increment of each state component's series, ``math.inf`` where unbounded.
+
+    A row with no divided part whose monomials use only components of
+    finite degree has degree (its largest monomial degree) + 1, and 0 with
+    no monomials; the degrees are inferred to a fixed point from all
+    unbounded.
+    """
+    degrees = [math.inf] * len(rows)
+    while True:
+        dx, dy = degrees[0], 1 if base else degrees[1]
+        inferred = [math.inf if divided else
+                    max(((j and j * dx) + (l and l * dy) for j, l in direct), default=-1) + 1
+                    for direct, divided in rows]
+        if inferred == degrees:
+            return degrees
+        degrees = inferred
+
+
 @functools.cache
 def _series_code(rows: tuple[tuple[Monomials, Monomials], ...], denominator: Monomials, base: bool,
                  order: int) -> Callable:
@@ -338,16 +357,20 @@ def _series_code(rows: tuple[tuple[Monomials, Monomials], ...], denominator: Mon
       q_k = A_k + r_k (either alone when the other part is empty), and
       y_(k+1) = q_k / (k + 1).
 
-    Terms that are zero by degree (powers of the base past their degree,
-    the constant past order 0) are left out, and a factor 1 is not
-    multiplied: that changes no finite float.  The coefficients are bound
-    as names, never formatted into the source, so the code is compiled once
-    per monomial structure and order.  A zero D_0 raises
+    Terms that are zero by degree are left out: the base past degree 1,
+    a component whose row divides nothing and uses only components of
+    finite degree past its own (``_component_degrees``), products of
+    these past the sum of their degrees, D past its degree, and the
+    constant past order 0.  A factor 1 is not multiplied either: neither
+    changes a finite float.  The coefficients are bound as names, never
+    formatted into the source, so the code is compiled once per monomial
+    structure and order.  A zero D_0 raises
     ``ZeroDivisionError`` when some row has a B; no row with a B, no D.
     """
     nodes: list[tuple[str, tuple, tuple]] = []  # (name, left, right) products, in dependency order
     # a series is (name, degree): coefficient k is the local name_k up to its degree, zero past it
-    x, y = ("a0", math.inf), ("b", 1) if base else ("a1", math.inf)
+    degrees = _component_degrees(rows, base)
+    x, y = ("a0", degrees[0]), ("b", 1) if base else ("a1", degrees[1])
     monomials: dict[tuple[int, int], tuple[str, float]] = {(0, 0): ("one", 0), (1, 0): x, (0, 1): y}
 
     def coeff(series: tuple[str, float], k: int) -> str | None:

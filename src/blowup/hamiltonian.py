@@ -9,7 +9,12 @@ around the totally degenerate equilibrium v = w = 0 at infinity.  With the
 regularizing root parameter th (w = th^(m-1), v ~ a th^(m+1)) the traced
 loops close with windings (m-1, m+1, m-1) for (t, v, w) when the force
 degree m is even; odd m splits the picture into two leaves, each closing
-after half a th-cycle with the windings halved.
+after half a th-cycle with the windings halved.  Each sample of a loop is
+one Newton solve in v; original time is the trapezoid rule in the angle of
+th over those same samples, which converges geometrically on the periodic
+integrand.  A loop where v strays from its leading order a th^(m+1) by more
+than half is outside the regime these windings describe, and the radius is
+halved instead.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import math
 from dataclasses import dataclass
 
 from blowup.algebra import BivariatePolynomial, PlanarField
-from blowup.flow import winding_number
+from blowup.flow import FlowError, winding_number
 
 __all__ = [
     "PolynomialHamiltonian",
@@ -84,10 +89,15 @@ def pendulum_loop_windings(
     ``g_coeffs`` are the force coefficients low-to-high; its degree m >= 2
     fixes the leading potential coefficient G0 = g_m/(m+1), which must not
     vanish.  The routine solves the energy relation for v along the circle
-    w = th^(m-1) (half a circle of th per leaf when m is odd), integrates
-    original time by quadrature of dt = v^(m-1) dt2, and extracts integer
-    windings.  The radius is halved, at most ``_MAX_HALVINGS`` times, until
-    two successive radii agree; the smaller is ``stabilized_radius``.
+    w = th^(m-1) (half a circle of th per leaf when m is odd) with one
+    Newton solve per sample, integrates original time dt = v^(m-1) dt2 by
+    the trapezoid rule in the angle of th on those samples, and extracts
+    integer windings.  The radius is halved, at most ``_MAX_HALVINGS``
+    times, until two successive radii agree; the smaller is
+    ``stabilized_radius``.  A radius whose loop leaves the leading-order
+    regime (max |v / (a th^(m+1)) - 1| > 1/2), fails to solve, or gives a
+    curve too coarse or open for ``winding_number`` is halved without a
+    result.
     """
     if not 0.0 < loop_radius < math.inf:  # also refuses NaN
         raise ValueError(f"loop radius must be finite and positive, got {loop_radius!r}")
@@ -108,7 +118,7 @@ def pendulum_loop_windings(
     for _ in range(_MAX_HALVINGS):
         try:
             wt, wv, ww = _trace_pendulum_loop(g, G, m, G0, radius)
-        except (ValueError, ArithmeticError):
+        except (ValueError, ArithmeticError, FlowError):
             radius *= 0.5
             continue
         if result == (wt, wv, ww):
@@ -119,38 +129,43 @@ def pendulum_loop_windings(
 
 
 def _trace_pendulum_loop(g, G, m, G0, theta_radius):
-    """One traced loop of ``_SAMPLES_PER_TURN`` samples; returns measured (w_t, w_v, w_w)."""
+    """One traced loop of ``_SAMPLES_PER_TURN`` samples; returns measured (w_t, w_v, w_w).
+
+    The samples are th = R e^(i phi) at equal steps of phi, one Newton solve
+    each, seeded by the cubic through the previous four.  Original time is
+    the trapezoid rule in phi on those same samples: dt/dphi = v^(m-1) / w'
+    * i (m-1) w is periodic over the traced loop, where the trapezoid rule
+    converges geometrically.  A loop on which v strays from its leading
+    order a th^(m+1) by more than half is outside the regime the windings
+    describe, and raises ``ValueError``.
+    """
     n = _SAMPLES_PER_TURN
     # theta range: full turn for even m (single leaf), half for odd m.
     span = 2.0 * math.pi if m % 2 == 0 else math.pi
-    thetas = [theta_radius * cmath.exp(1j * span * k / n) for k in range(n + 1)]
     relation = _energy_relation(G, m)
     relation_and_dv = PlanarField(relation, relation.partial_x())
     a = (2.0 * G0) ** (1.0 / (m - 1.0))
 
     vs: list[complex] = []
     ws: list[complex] = []
-    v = a * thetas[0] ** (m + 1)
-    for th in thetas:
+    rates: list[complex] = []
+    for k in range(n + 1):
+        th = theta_radius * cmath.exp(1j * span * k / n)
         w = th ** (m - 1)
-        v = _newton_track(relation_and_dv, v_guess=v if vs else a * th ** (m + 1), w=w)
+        lead = a * th ** (m + 1)
+        v = _newton_track(relation_and_dv, v_guess=_extrapolate(vs) if vs else lead, w=w)
+        if abs(v / lead - 1.0) > 0.5:
+            raise ValueError(f"loop radius {theta_radius:g} is outside the leading-order regime")
+        # dw/dt2 = v^(m-1) - w v^m g(w/v), and dt = v^(m-1) dt2
+        wdot = v ** (m - 1) - w * _v_pow_g(v, w, g, m)
         vs.append(v)
         ws.append(w)
+        rates.append(v ** (m - 1) / wdot * 1j * (m - 1) * w)
 
-    # original time by quadrature: dt = v^(m-1)/(dw/dt2) dw along the loop,
-    # with dw/dt2 = v^(m-1) - w v^m g(w/v).
+    half_step = 0.5 * span / n
     ts = [0.0 + 0.0j]
-    for k in range(n):
-        t_incr = 0.0 + 0.0j
-        # two-point Gauss on each segment of the theta-circle
-        for node in (0.5 - 0.5 / math.sqrt(3.0), 0.5 + 0.5 / math.sqrt(3.0)):
-            th = thetas[k] * (thetas[k + 1] / thetas[k]) ** node
-            w = th ** (m - 1)
-            v = _newton_track(relation_and_dv, v_guess=(vs[k] + vs[k + 1]) / 2.0, w=w)
-            wdot = v ** (m - 1) - w * _v_pow_g(v, w, g, m)
-            dw = (m - 1) * (thetas[k + 1] - thetas[k]) * th ** (m - 2)
-            t_incr += 0.5 * v ** (m - 1) / wdot * dw
-        ts.append(ts[-1] + t_incr)
+    for r0, r1 in zip(rates, rates[1:]):
+        ts.append(ts[-1] + half_step * (r0 + r1))
 
     # Windings about the blow-up point: t about its own mean-removed center 0
     # after removing the constant of integration, v and w about 0.
@@ -159,6 +174,16 @@ def _trace_pendulum_loop(g, G, m, G0, theta_radius):
     wv = winding_number(vs, 0.0)
     ww = winding_number(ws, 0.0)
     return abs(wt), abs(wv), abs(ww)
+
+
+def _extrapolate(samples: list[complex]) -> complex:
+    """The next value of an equally spaced sequence from the polynomial
+    through its last four values, or through all of them while fewer."""
+    if len(samples) >= 4:
+        return 4.0 * (samples[-1] + samples[-3]) - 6.0 * samples[-2] - samples[-4]
+    if len(samples) == 3:
+        return 3.0 * (samples[-1] - samples[-2]) + samples[-3]
+    return 2.0 * samples[-1] - samples[-2] if len(samples) == 2 else samples[-1]
 
 
 def _v_pow_g(v, w, g, m):

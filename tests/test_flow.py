@@ -1,4 +1,6 @@
 import cmath
+import collections
+import dis
 import math
 import random
 from fractions import Fraction
@@ -510,6 +512,22 @@ def test_a_blowup_chart_row_that_u_divides_is_exact():
     assert u == (0.05 + 0.01j, -5) + (0,) * 14
     # the generated code holds the quotients r1_k of row 1 alone: row 0 is never divided by d_0
     assert {name.partition("_")[0] for name in series.__code__.co_varnames if name.startswith("r")} == {"r1"}
+
+
+def test_a_component_of_finite_degree_is_not_read_past_its_degree():
+    # golden_node's UZ field is (-u, -phi z + u^2) with Euler multiplier u:
+    # u' = -1 makes u linear in t, so no product, quotient or power reads
+    # u_k past k = 1, and D = u stops at d_1; only the return reads u_2 .. u_15
+    loads = collections.Counter()
+    charts = to_charts(catalog_get("golden_node").system)
+    series = _series(charts.uz_field, 15, "path", charts.euler_exponent)
+    for ins in dis.get_instructions(series):
+        if ins.opname.startswith("LOAD_FAST"):
+            loads.update(ins.argval if isinstance(ins.argval, tuple) else (ins.argval,))
+    assert all(loads[f"a0_{k}"] == 1 for k in range(2, 16))
+    assert {name for name in loads if name.startswith("d_")} == {"d_0", "d_1"}
+    u, _ = series((0.05 + 0.01j, 0.3 - 0.2j), 0j)
+    assert u == (0.05 + 0.01j, -1) + (0,) * 14
 
 
 def test_no_step_jumps_over_the_singularity_ball():

@@ -4,11 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from blowup import hamiltonian
 from blowup.algebra import BivariatePolynomial, Chart, PlanarField, evaluate, to_charts
 from blowup.flow import (
     IntegrationConfig,
     Termination,
     TimePath,
+    TooCoarseError,
     Trajectory,
     TrajectorySample,
     integrate_path,
@@ -247,6 +249,79 @@ def test_pendulum_windings_break_the_naive_law():
     for coeffs, m in (([-6.0, 0.0, 6.0], 2), ([-1.0, 0.0, 0.0, 0.0, 5.0], 4)):
         rep = pendulum_loop_windings(coeffs)
         assert rep["w_t"] != (m - 1) * rep["w_v"]
+
+
+@pytest.mark.parametrize("g_coeffs, windings, leaves", [
+    ([-6.0, 0.0, 6.0], (1, 3, 1), 1),
+    ([0.0, -1.0, 0.0, 1.0], (1, 2, 1), 2),
+    ([-1.0, 0.0, 0.0, 0.0, 5.0], (3, 5, 3), 1),
+    ([1.0, 2.0, 3.0], (1, 3, 1), 1),
+    ([0.0, 0.0, 1.0], (1, 3, 1), 1),
+    ([2.0, 0.0, -1.0, 0.0, 3.0], (3, 5, 3), 1),
+    ([1.0, 1.0, 1.0, 1.0, 1.0, 1.0], (2, 3, 2), 2),
+    ([0.5, -2.0, 0.1, 7.0], (1, 2, 1), 2),
+])
+def test_pendulum_report_at_the_default_radius(g_coeffs, windings, leaves):
+    # the whole report, stabilized_radius included: 0.05 and 0.025 agree
+    w_t, w_v, w_w = windings
+    assert pendulum_loop_windings(g_coeffs) == {
+        "w_t": w_t, "w_v": w_v, "w_w": w_w, "leaves": leaves, "stabilized_radius": 0.025}
+
+
+def test_one_newton_solve_per_loop_sample(monkeypatch):
+    # original time comes from the trapezoid rule on the loop's own samples,
+    # so no quadrature node costs a further solve
+    counts = {"loops": 0, "solves": 0}
+    trace, newton = hamiltonian._trace_pendulum_loop, hamiltonian._newton_track
+
+    def counted_trace(*args):
+        counts["loops"] += 1
+        return trace(*args)
+
+    def counted_newton(*args, **kwargs):
+        counts["solves"] += 1
+        return newton(*args, **kwargs)
+
+    monkeypatch.setattr(hamiltonian, "_trace_pendulum_loop", counted_trace)
+    monkeypatch.setattr(hamiltonian, "_newton_track", counted_newton)
+    for g_coeffs in ([-6.0, 0.0, 6.0], [0.0, -1.0, 0.0, 1.0]):
+        counts.update(loops=0, solves=0)
+        pendulum_loop_windings(g_coeffs)
+        assert counts["loops"] == 2
+        assert counts["solves"] == counts["loops"] * (hamiltonian._SAMPLES_PER_TURN + 1)
+
+
+def test_a_radius_outside_the_leading_order_regime_is_halved():
+    # at radius 1 and 0.5 the weierstrass leaf is far from v ~ a th^3 and
+    # both loops wind once in v; halving on past them recovers w_v = 3
+    rep = pendulum_loop_windings([-6.0, 0.0, 6.0], loop_radius=1.0)
+    assert (rep["w_t"], rep["w_v"], rep["w_w"]) == (1, 3, 1)
+    assert rep["stabilized_radius"] < 0.5
+
+
+def test_duffing_at_radius_one_resolves_its_windings():
+    # duffing's loop at radius 1 was too coarse for winding_number, which
+    # ended the command; it now fails the regime check and is halved
+    rep = pendulum_loop_windings([0.0, -1.0, 0.0, 1.0], loop_radius=1.0)
+    assert (rep["w_t"], rep["w_v"], rep["w_w"]) == (1, 2, 1)
+    assert rep["leaves"] == 2
+
+
+def test_a_winding_failure_halves_the_radius(monkeypatch):
+    # a loop whose curve winding_number refuses is a failed radius like any
+    # other: the first loop's refusal costs one halving, not the command
+    winding, refused = hamiltonian.winding_number, []
+
+    def refuse_first_loop(curve, center):
+        if not refused:
+            refused.append(True)
+            raise TooCoarseError("sample spacing too coarse")
+        return winding(curve, center)
+
+    monkeypatch.setattr(hamiltonian, "winding_number", refuse_first_loop)
+    rep = pendulum_loop_windings([-6.0, 0.0, 6.0])
+    assert (rep["w_t"], rep["w_v"], rep["w_w"]) == (1, 3, 1)
+    assert rep["stabilized_radius"] == 0.0125
 
 
 def test_degenerate_leading_term_rejected():
