@@ -504,8 +504,9 @@ def cmd_portrait(args) -> None:
     Path(f"{stem}.svg").write_text(svg)
     lines = ["seed,idx,chart,re_c1,im_c1,re_c2,im_c2"]
     for res in results:
-        for i, (c1, c2, chart) in enumerate(res["points"]):
-            lines.append(f'{res["seed"]},{i},{chart},{_csv(c1)},{_csv(c2)}')
+        seed = res["seed"]
+        for i, (c1, c2, chart) in enumerate(res["points"]):  # the bytes of _csv, formatted in one expression
+            lines.append("%d,%d,%s,%.17g,%.17g,%.17g,%.17g" % (seed, i, chart, c1.real, c1.imag, c2.real, c2.imag))
     Path(f"{stem}.csv").write_text("\n".join(lines) + "\n")
     statuses = {}
     for res in results:

@@ -57,16 +57,25 @@ Every integrator marches through ``_march(path, y0, cfg, expand,
 on_step)``, the only loop that takes steps.  It walks the path one segment
 at a time, because corners are derivative jumps: segment ``floor(s +
 1e-9)`` runs up to its end, and no step crosses a corner.
-``expand(t, y)`` returns the series coefficients of every component at
-the path point ``t`` and state ``y``, and ``reach``, the distance the state
-may move in this step (``math.inf`` when nothing caps it).
-``on_step(s, y, seg, sigma)`` runs after every step with the global
-parameter ``s``, the state, the active segment and its local parameter
-``sigma`` in [0, 1], and returns ``None`` to go on, a ``Termination`` to
-stop there, or a replacement state (a chart switch), from which the next
-step expands with whatever ``expand`` is then bound to.  ``_march``
-returns ``Termination.COMPLETED`` when the path is done, and raises
-``StepUnderflowError`` when the step collapses.
+``expand(t, y)`` returns the series coefficients y_0 .. y_p of every
+component, p the order ``cfg.rel_tol`` sets, at the path point ``t`` and
+state ``y``, and ``reach``, the distance the state may move in this step
+(``math.inf`` when nothing caps it).
+``on_step(s, y, t)`` runs after every step with the global parameter
+``s``, the state and the step's end time ``t``, the path point at ``s``;
+the next step expands from that same ``t``, so the path is evaluated once
+per step and once at the start of each segment.  It returns ``None`` to go
+on, a ``Termination`` to stop there, or a replacement state (a chart
+switch), from which the next step expands with whatever ``expand`` is then
+bound to.  ``_march`` returns ``Termination.COMPLETED`` when the path is
+done, and raises ``StepUnderflowError`` when the step collapses.
+
+The step's own work is straight-line code as well, generated once per
+component count and order (``_step_code``): the weighted sums of squares
+of y_(p-1) and y_p that the step rule reads, each summed left to right from
+0.0, and the Horner update of every component from 0j, the same floats as
+the plain loops the tests compare them with.  ``_march`` binds them once
+per march and works the step rule inline.
 
 ``integrate_path`` takes a ``ChartSystem`` and a start chart, since it may
 switch charts.  ``continue_leaf(fld, base_loop, fiber_start, cfg)`` takes
@@ -86,7 +95,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from blowup.algebra import Chart, ChartSystem, PlanarField, chart_point
 
@@ -227,8 +236,7 @@ class Termination(str, Enum):
     DIVERGED = "Diverged"
 
 
-@dataclass(frozen=True)
-class TrajectorySample:
+class TrajectorySample(NamedTuple):
     s: float
     t: complex
     chart: str
@@ -350,7 +358,10 @@ def _series_code(rows: tuple[tuple[Monomials, Monomials], ...], denominator: Mon
     appear in no polynomial.  Per order k, in this order:
 
     - each power x^j = x^(j-1) * x, y^l = y^(l-1) * y and product
-      x^j * y^l is the Cauchy sum over i = 0 .. k of a_i * b_(k-i);
+      x^j * y^l is the Cauchy sum over i = 0 .. k of a_i * b_(k-i), left
+      to right; in a square (x^2, y^2) the product a_i * a_(k-i) is the
+      same float as its mirror a_(k-i) * a_i, so it is formed once, for
+      i < k / 2, and read twice;
     - D_k, when some row has a B, then per row A_k and B_k, each the sum of
       c * (monomial)_k in the polynomial's term order;
     - r_k = (B_k - sum_(j=1..k) D_j r_(k-j)) / D_0 for a row with a B,
@@ -416,6 +427,11 @@ def _series_code(rows: tuple[tuple[Monomials, Monomials], ...], denominator: Mon
             if k <= left[1] + right[1]:
                 pairs = [times(a, b) for i in range(k + 1)
                          if (a := coeff(left, i)) is not None and (b := coeff(right, k - i)) is not None]
+                if left == right:  # a square: a_i * a_(k-i) is a_(k-i) * a_i bit for bit, so form it once
+                    for i in range(len(pairs) // 2):
+                        if " * " in pairs[i]:
+                            body.append(f"m{i} = {pairs[i]}")
+                            pairs[i] = pairs[-1 - i] = f"m{i}"
                 body.append(f"{name}_{k} = {' + '.join(pairs)}")
         if divides and k <= den_degree:
             body.append(f"d_{k} = {' + '.join(value(den_terms, k)) or '0j'}")
@@ -441,34 +457,40 @@ def _series_code(rows: tuple[tuple[Monomials, Monomials], ...], denominator: Mon
     return namespace["bind"]
 
 
-def _step_length(coeffs: tuple[tuple[complex, ...], ...], cfg: IntegrationConfig, speed: float,
-                 longest: float) -> float:
-    """The step: 0.8 of the longest whose last two series terms meet the tolerance per unit step, up to ``longest``.
+@functools.cache
+def _step_code(components: int, order: int) -> tuple[Callable, Callable]:
+    """Straight-line step helpers for ``components`` series of order ``order``: ``(tails, advance)``.
 
-    A step h in path parameter at path speed ``speed`` is charged
-    ||y_k|| (speed h)^k for k = p-1 and p, the RMS over components weighted
-    by 1 / (abs_tol + rel_tol |y_0|), and each charge divided by h must be
-    at most 1.  The safety factor 0.8 cuts the truncation error, which
-    scales as h^(p+1), about thirtyfold at p = 15: at tight tolerances that
-    puts it at roundoff, as the short steps of a low-order method did.
-    Worked in logarithms, so no power overflows; a coefficient that is not
-    finite gives 0.
+    ``tails(coeffs, abs_tol, rel_tol)`` returns the weighted sums of squares
+    of y_(p-1) and y_p, each 0.0 + a_0 * a_0 + a_1 * a_1 + ... over the
+    components, with a_i = |c_i[k]| w_i and w_i = 1 / (abs_tol + rel_tol
+    |c_i[0]|).  ``advance(coeffs, dt)`` returns the state the series give at
+    the increment ``dt``, each component by Horner's rule from 0j:
+    ((0j * dt + c_p) * dt + c_(p-1)) * dt + ... + c_0.  Compiled once per
+    component count and order.
     """
-    order = len(coeffs[0]) - 1
-    last = before = 0.0  # weighted sums of squares of y_p and y_(p-1)
-    for c in coeffs:
-        w = 1.0 / (cfg.abs_tol + cfg.rel_tol * abs(c[0]))
-        a, b = abs(c[-2]) * w, abs(c[-1]) * w
-        before += a * a
-        last += b * b
-    log_h = math.log(longest / _SAFETY)
-    for k, square in ((order - 1, before), (order, last)):
-        norm = math.sqrt(square / len(coeffs))
-        if norm != norm:
-            return 0.0
-        if norm > 0.0 and speed > 0.0:
-            log_h = min(log_h, -(math.log(norm) + k * math.log(speed)) / (k - 1))
-    return min(longest, _SAFETY * math.exp(log_h))
+    comps = range(components)
+    tails = ["def tails(coeffs, abs_tol, rel_tol):\n",
+             f"    {''.join(f'y{i}, ' for i in comps)}= coeffs\n"]
+    for i in comps:
+        tails += [f"    w{i} = 1.0 / (abs_tol + rel_tol * abs(y{i}[0]))\n",
+                  f"    a{i} = abs(y{i}[{order - 1}]) * w{i}\n",
+                  f"    b{i} = abs(y{i}[{order}]) * w{i}\n"]
+    tails.append("    return " + ", ".join(" + ".join(["0.0"] + [f"{v}{i} * {v}{i}" for i in comps]) for v in "ab")
+                 + "\n")
+    advance = ["def advance(coeffs, dt):\n",
+               "    " + "".join("(" + "".join(f"c{i}_{k}, " for k in range(order + 1)) + "), " for i in comps)
+               + "= coeffs\n"]
+    values = []
+    for i in comps:
+        acc = f"0j * dt + c{i}_{order}"
+        for k in reversed(range(order)):
+            acc = f"({acc}) * dt + c{i}_{k}"
+        values.append(acc + ", ")
+    advance.append(f"    return {''.join(values)}\n")
+    namespace: dict = {}
+    exec("".join(tails + advance), namespace)
+    return namespace["tails"], namespace["advance"]
 
 
 def _moved(coeffs: tuple[tuple[complex, ...], ...], delta: float) -> float:
@@ -487,9 +509,20 @@ def _march(
     y0: State,
     cfg: IntegrationConfig,
     expand: Callable[[complex, State], tuple[tuple[tuple[complex, ...], ...], float]],
-    on_step: Callable[[float, State, Segment, float], Termination | State | None],
+    on_step: Callable[[float, State, complex], Termination | State | None],
 ) -> Termination:
-    """Integrate along ``path`` segment by segment (contract in the module docstring)."""
+    """Integrate along ``path`` segment by segment (contract in the module docstring).
+
+    The step is 0.8 of the longest whose last two series terms meet the
+    tolerance per unit step, up to ``max_step`` and the segment end.  The
+    safety factor cuts the truncation error, which scales as h^(p+1), about
+    thirtyfold at p = 15: at tight tolerances that puts it at roundoff.
+    The rule is worked in logarithms, so no power overflows, and a
+    coefficient that is not finite gives the step 0.
+    """
+    n, order = len(y0), _order(cfg.rel_tol)
+    tails, advance = _step_code(n, order)
+    abs_tol, rel_tol, max_step = cfg.abs_tol, cfg.rel_tol, cfg.max_step
     total = float(len(path.segments))
     s, y = 0.0, y0
     while s < total - 1e-12:
@@ -497,38 +530,46 @@ def _march(
         s1 = min(idx + 1.0, total)
         seg = path.segments[idx]
         span = s1 - s
+        done, shortest = s1 - 1e-15 * max(span, abs(s1)), _UNDERFLOW_FACTOR * span
         speed = abs(seg.velocity(0.0))  # constant along a line or an arc
-        while s < s1 - 1e-15 * max(span, abs(s1)):
-            t0 = seg.point(min(max(s - idx, 0.0), 1.0))
+        if speed > 0.0:  # the logarithms of speed^k in the charges of y_(p-1) and y_p
+            lead, trail = (order - 1) * math.log(speed), order * math.log(speed)
+        t0 = seg.point(min(max(s - idx, 0.0), 1.0))
+        while s < done:
             try:
                 coeffs, reach = expand(t0, y)
-                h = _step_length(coeffs, cfg, speed, min(cfg.max_step, s1 - s))
+                before, last = tails(coeffs, abs_tol, rel_tol)
+                longest = min(max_step, s1 - s)
+                norm_before, norm_last = math.sqrt(before / n), math.sqrt(last / n)
+                if norm_before != norm_before or norm_last != norm_last:  # a coefficient is not finite
+                    h = 0.0
+                else:
+                    log_h = math.log(longest / _SAFETY)
+                    if speed > 0.0:
+                        if norm_before > 0.0:
+                            log_h = min(log_h, -(math.log(norm_before) + lead) / (order - 2))
+                        if norm_last > 0.0:
+                            log_h = min(log_h, -(math.log(norm_last) + trail) / (order - 1))
+                    h = min(longest, _SAFETY * math.exp(log_h))
                 if reach < math.inf:
                     moved = _moved(coeffs, speed * h)  # the arc is no shorter than the chord
                     if moved > reach:
                         h *= reach / moved  # moved(delta) / delta grows with delta
             except (ZeroDivisionError, OverflowError):  # a pole at the expansion point
                 h = 0.0
-            if not h >= _UNDERFLOW_FACTOR * span:
+            if not h >= shortest:
                 raise StepUnderflowError(f"step underflow at s={s:.6g}")
             s = s1 if s1 - s <= h * (1.0 + 1e-9) else s + h
-            sigma = min(max(s - idx, 0.0), 1.0)
-            dt = seg.point(sigma) - t0
-            y = tuple(_horner(c, dt) for c in coeffs)
-            verdict = on_step(s, y, seg, sigma)
+            t = seg.point(min(max(s - idx, 0.0), 1.0))
+            y = advance(coeffs, t - t0)
+            verdict = on_step(s, y, t)
             if isinstance(verdict, Termination):
                 return verdict
             if verdict is not None:
                 y = verdict  # chart switch: the next step expands from here
+            t0 = t
         s = s1  # corner reached; the next segment starts afresh
     return Termination.COMPLETED
-
-
-def _horner(c: tuple[complex, ...], dt: complex) -> complex:
-    acc = 0j
-    for ck in reversed(c):
-        acc = acc * dt + ck
-    return acc
 
 
 def _distance(a: Sequence[complex], b: Sequence[complex]) -> float:
@@ -588,9 +629,8 @@ def integrate_path(
             reach = 0.5 * _distance(y, eq_pt)
         return series(y, t), reach
 
-    def on_step(s: float, coords: State, seg: Segment, sigma: float) -> Termination | State | None:
+    def on_step(s: float, coords: State, t: complex) -> Termination | State | None:
         nonlocal chart, series
-        t = seg.point(sigma)
         samples.append(TrajectorySample(s, t, chart, coords))
         if eq_chart is not None:
             try:
@@ -681,7 +721,7 @@ def continue_leaf(
             raise SectionTangencyError(f"base field vanished at {t:.6g}")
         return coeffs, math.inf
 
-    def on_step(s: float, y: State, seg: Segment, sigma: float) -> None:
+    def on_step(s: float, y: State, t: complex) -> None:
         trace.append((s, y[0]))
 
     _march(base_loop, (fiber0,), cfg, expand, on_step)
@@ -719,7 +759,7 @@ def time_to_equilibrium(
     def expand(t: complex, y: State) -> tuple[tuple[tuple[complex, ...], ...], float]:
         return series(y, t), math.inf
 
-    def on_step(s: float, y: State, seg: Segment, sigma: float) -> Termination | None:
+    def on_step(s: float, y: State, t: complex) -> Termination | None:
         tail.append((y[2], (y[0], y[1])))
         if _distance(y, equilibrium) < _ARRIVAL:
             return Termination.ENTERED_SINGULARITY_BALL

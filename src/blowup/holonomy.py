@@ -181,7 +181,10 @@ def masuda_detour(
     ``cycles`` traversals, reported both absolutely and against the
     relative closure threshold (1e-6 of the fiber magnitude at loop entry).
     ``loop_radius=None`` takes half the distance |t_enter - T| from the
-    approach endpoint to the blow-up time.
+    approach endpoint to the blow-up time; a radius of that distance or
+    more is refused as bad input (``ValueError``).  The distance depends on
+    the approach's singularity ball, so the caller cannot know it
+    beforehand, and the message names it.
     """
     if blowup_eq.chart == Chart.XY:
         raise ValueError("a detour circles a blow-up time: the equilibrium must lie at infinity (UZ or VW)")
@@ -196,7 +199,10 @@ def masuda_detour(
     if loop_radius is None:
         loop_radius = 0.5 * gap
     if loop_radius >= gap:
-        raise DetourError(f"loop radius {loop_radius:.3g} reaches past the approach endpoint (|t-T| = {gap:.3g})")
+        raise ValueError(
+            f"loop radius {loop_radius:.3g} reaches past the approach endpoint (|t-T| = {gap:.3g}): the radius "
+            f"must stay under {gap:.3g}, the distance from the blow-up time at which the approach entered its "
+            f"singularity ball, so a larger ball (--ball) allows a larger radius")
 
     entry_state = chart_point(approach.end.coords, approach.end.chart, blowup_eq.chart)
     phase = cmath.phase(t_enter - T_est)

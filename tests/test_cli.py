@@ -57,6 +57,9 @@ def _error_line(capsys) -> dict:
                  id="detour-nan-horizon"),
     pytest.param(["detour", "catalog:scalar_poly?m=2", "--eq", "0", "--cycles", "1", "--horizon", "inf"],
                  id="detour-inf-horizon"),
+    # the largest radius that passes depends on where the approach enters its ball (--ball)
+    pytest.param(["detour", "catalog:golden_node", "--eq", "0", "--cycles", "1", "--radius", "0.05"],
+                 id="detour-radius-past-the-approach-endpoint"),
     pytest.param(["linearize", "catalog:riccati", "--eq", "0", "--order", "4", "--ball-radius", "nan"],
                  id="linearize-nan-ball-radius"),
     pytest.param(["linearize", "catalog:riccati", "--eq", "0", "--order", "4", "--ball-radius", "0"],

@@ -18,10 +18,13 @@ from blowup.flow import (
     NotClosedError,
     PathDiscontinuityError,
     SectionTangencyError,
+    StepUnderflowError,
     Termination,
     TimePath,
     TooCoarseError,
+    _order,
     _series,
+    _step_code,
     continue_leaf,
     integrate_path,
     winding_number,
@@ -352,6 +355,139 @@ def test_a_chart_switch_rebinds_the_step(monkeypatch):
     assert 0 < n_xy < len(expanded)
     assert expanded == [system.xy_field] * n_xy + [system.uz_field] * (len(expanded) - n_xy)
     assert len(expanded) == len(traj.samples) - 1 - switches
+
+
+def test_a_march_evaluates_its_path_once_per_step_and_once_per_segment(monkeypatch):
+    # each step ends at a path point, and the next step expands from that
+    # same point; only a segment's start is evaluated afresh
+    path = TimePath((Line(0.0, 0.5), Arc(0.75, 0.25, math.pi, 0.0)))  # built first: its joins read points too
+    calls = collections.Counter()
+    for cls in (Line, Arc):
+        def counted(self, sigma, real=cls.point, name=cls.__name__):
+            calls[name] += 1
+            return real(self, sigma)
+        monkeypatch.setattr(cls, "point", counted)
+    traj = integrate_path(riccati_system(), Chart.XY, (0.5, 0.0), path, TIGHT)
+    assert traj.terminated_reason == Termination.COMPLETED
+    assert all(smp.chart == Chart.XY for smp in traj.samples)  # no switch restates a sample
+    on_line = sum(0.0 < smp.s <= 1.0 for smp in traj.samples)
+    on_arc = sum(smp.s > 1.0 for smp in traj.samples)
+    assert on_line > 1 and on_arc > 1
+    # the line also gives the start sample's time, path.point(0.0)
+    assert calls == {"Line": 1 + 1 + on_line, "Arc": 1 + on_arc}
+
+
+def _reference_tails(coeffs, cfg):
+    """Weighted sums of squares of y_(p-1) and y_p, by the loop the generated ``tails`` replaced."""
+    last = before = 0.0
+    for c in coeffs:
+        w = 1.0 / (cfg.abs_tol + cfg.rel_tol * abs(c[0]))
+        a, b = abs(c[-2]) * w, abs(c[-1]) * w
+        before += a * a
+        last += b * b
+    return before, last
+
+
+def _reference_step_length(coeffs, cfg, speed, longest):
+    """0.8 of the longest step whose last two series terms meet the tolerance per unit step, up to ``longest``.
+
+    The rule as a function, worked in logarithms: ||y_k|| (speed h)^k / h
+    <= 1 for k = p-1 and p, the RMS over components of the weighted terms;
+    a coefficient that is not finite gives 0.
+    """
+    order = len(coeffs[0]) - 1
+    before, last = _reference_tails(coeffs, cfg)
+    log_h = math.log(longest / 0.8)
+    for k, square in ((order - 1, before), (order, last)):
+        norm = math.sqrt(square / len(coeffs))
+        if norm != norm:
+            return 0.0
+        if norm > 0.0 and speed > 0.0:
+            log_h = min(log_h, -(math.log(norm) + k * math.log(speed)) / (k - 1))
+    return min(longest, 0.8 * math.exp(log_h))
+
+
+def _reference_horner(c, dt):
+    acc = 0j
+    for ck in reversed(c):
+        acc = acc * dt + ck
+    return acc
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_generated_step_helpers_match_the_reference_loops_bit_for_bit(seed):
+    rng = random.Random(20 + seed)
+    components = collections.Counter()
+    for fld, kind, exponent in _series_cases(seed):
+        order = rng.choice((4, 7, 15))
+        n = {"leaf": 1, "path": 2, "clock": 3}[kind]
+        tails, advance = _step_code(n, order)
+        assert _step_code(n, order) == (tails, advance)  # generated once per component count and order
+        cfg = IntegrationConfig(rel_tol=10.0 ** rng.uniform(-14, -3), abs_tol=10.0 ** rng.uniform(-16, -3))
+        state = tuple(complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)) for _ in range(n))
+        coeffs = _series(fld, order, kind, exponent)(state, complex(rng.gauss(0, 0.5), rng.gauss(0, 0.5)))
+        dt = complex(rng.gauss(0, 0.1), rng.gauss(0, 0.1))
+        assert tails(coeffs, cfg.abs_tol, cfg.rel_tol) == _reference_tails(coeffs, cfg)  # the same floats
+        assert advance(coeffs, dt) == tuple(_reference_horner(c, dt) for c in coeffs)
+        components[n] += 1
+    assert set(components) == {1, 2, 3}
+
+
+@pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 1.0), complex(0.5, -math.inf)])
+def test_a_coefficient_that_is_not_finite_gives_step_zero(bad):
+    cfg = IntegrationConfig()
+    order = _order(cfg.rel_tol)
+    coeffs = ((0.5 + 0j,) + (0.1j,) * (order - 1) + (bad,),)
+    assert _reference_step_length(coeffs, cfg, 1.0, cfg.max_step) == 0.0
+    before, last = _step_code(1, order)[0](coeffs, cfg.abs_tol, cfg.rel_tol)
+    assert before == _reference_tails(coeffs, cfg)[0] and not math.isfinite(last)
+    with pytest.raises(StepUnderflowError):  # the march's rule gives the same step 0
+        blowup.flow._march(TimePath.from_points([0.0, 1.0]), (0.5 + 0j,), cfg,
+                           lambda t, y: (coeffs, math.inf), lambda s, y, t: None)
+
+
+def test_the_march_steps_by_the_reference_rule_bit_for_bit(monkeypatch):
+    # x' = x^2 from x0 = 0.5 along a line and an arc: every step's length
+    # and end state are the reference rule's and Horner's, and each step
+    # expands at the time where the last one ended, or at its segment's start
+    expansions = []
+    real = blowup.flow._series
+
+    def recording(fld, *args):
+        series = real(fld, *args)
+
+        def recorded(state, t):
+            expansions.append((state, t, series(state, t)))
+            return expansions[-1][2]
+        return recorded
+
+    monkeypatch.setattr(blowup.flow, "_series", recording)
+    path = TimePath((Line(0.0, 0.5), Arc(0.75, 0.25, math.pi, 0.0)))
+    cfg = IntegrationConfig(rel_tol=1e-11, abs_tol=1e-13, max_step=0.3)
+    traj = integrate_path(riccati_system(), Chart.XY, (0.5, 0.0), path, cfg)
+    assert traj.terminated_reason == Termination.COMPLETED
+    assert len(expansions) == len(traj.samples) - 1
+    starts = 0
+    for (state, t, coeffs), here, there in zip(expansions, traj.samples, traj.samples[1:]):
+        idx = int(math.floor(here.s + 1e-9))
+        seg, s1 = path.segments[idx], idx + 1.0
+        t0 = seg.point(0.0) if here.s == idx else here.t
+        starts += here.s == idx
+        assert (state, t) == (here.coords, t0)
+        h = _reference_step_length(coeffs, cfg, abs(seg.velocity(0.0)), min(cfg.max_step, s1 - here.s))
+        assert there.s == (s1 if s1 - here.s <= h * (1.0 + 1e-9) else here.s + h)
+        assert there.coords == tuple(_reference_horner(c, there.t - t0) for c in coeffs)
+    assert starts == 2
+
+
+def test_a_square_forms_each_mirrored_product_once():
+    # x' = x^2: the Cauchy sum of (x^2)_k reads a_i * a_(k-i) and its mirror
+    # a_(k-i) * a_i, the same float.  Formed once each, the square takes
+    # sum_k ceil((k + 1) / 2) = 64 products at p = 15, where the full sums
+    # took 120; 15 more multiply (x^2)_k by its coefficient
+    series = _series(PlanarField(P([(2, 0, 1.0)]), P([])), 15, "path")
+    products = sum(ins.opname == "BINARY_OP" and ins.argrepr == "*" for ins in dis.get_instructions(series))
+    assert products == 64 + 15
 
 
 def _reference_series(rows, denominator, base, order, state, t):

@@ -316,7 +316,7 @@ def test_golden_node_quasiperiodic_near_closure():
 
 def test_loop_radius_past_endpoint_rejected():
     sys, eq, approach, entry = node_detour(2, 3, 1)
-    with pytest.raises(DetourError):
+    with pytest.raises(ValueError, match="must stay under"):  # bad input, not a numerical failure
         masuda_detour(sys, eq, approach, loop_radius=10.0, cycles=1, cfg=LOOP_CFG)
 
 
